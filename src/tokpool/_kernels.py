@@ -9,6 +9,15 @@ The random stream is xoshiro256** over four 64-bit words. Integer and
 uniform output is bit-identical between backends because the arithmetic is
 exact; floating-point reductions (pairwise distances) may differ in the last
 ulp because summation order differs.
+
+Distances are exact by difference: each entry is ``sum((a_i - b_j)**2)``,
+never the norm expansion, so identical rows give an exact zero. The numpy
+kernel walks cache-sized blocks; for a self-distance call (``b is a``) it
+fills only the upper triangle and mirrors it. :func:`nearest_sq_dists`, the
+nearest-row search, screens with one BLAS product and confirms the surviving
+pairs by difference, so its labels and distances equal the argmin and min of
+the full numpy matrix bit for bit, whatever BLAS rounding or threading does.
+It always confirms in numpy, also when the numba backend is active.
 """
 
 from __future__ import annotations
@@ -113,17 +122,117 @@ def _fill_normal_py(state, out):
     state[0], state[1], state[2], state[3] = s0, s1, s2, s3
 
 
+# Elements of one difference block: a few hundred KB, so the subtraction and
+# the einsum reduction that reads it back both run from L2 cache.
+_BLOCK = 1 << 16
+
+
 def _pairwise_sq_dists_np(a, b):
     # Differences are squared directly (no norm-expansion trick) so that
-    # identical rows give an exact zero; chunked to bound temp memory.
-    n = a.shape[0]
-    out = np.empty((n, b.shape[0]), dtype=np.float64)
-    chunk = max(1, (1 << 22) // max(1, b.shape[0] * a.shape[1]))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        diff = a[lo:hi, None, :] - b[None, :, :]
-        out[lo:hi] = np.einsum("ijk,ijk->ij", diff, diff)
+    # identical rows give an exact zero. einsum sums each length-M row in an
+    # order that depends only on M, so every block size gives the same bits.
+    # For ``b is a`` only column blocks from each row block's first row on are
+    # computed, and the strict lower triangle is mirrored from the upper one:
+    # (x - y)**2 == (y - x)**2 exactly.
+    n, m = a.shape
+    k = b.shape[0]
+    symmetric = b is a
+    out = np.empty((n, k), dtype=np.float64)
+    cols = max(1, min(k, _BLOCK // max(1, m)))
+    rows = max(1, _BLOCK // max(1, cols * m))
+    buf = np.empty(rows * cols * m)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        for clo in range(lo if symmetric else 0, k, cols):
+            chi = min(clo + cols, k)
+            diff = buf[:(hi - lo) * (chi - clo) * m].reshape(hi - lo, chi - clo, m)
+            np.subtract(a[lo:hi, None, :], b[None, clo:chi, :], out=diff)
+            np.einsum("ijk,ijk->ij", diff, diff, out=out[lo:hi, clo:chi])
+    if symmetric:
+        np.copyto(out, out.T, where=np.tri(n, k=-1, dtype=bool))
     return out
+
+
+def _confirm(a, b, rows, cols):
+    # Exact distances of the listed pairs, by the same einsum reduction as
+    # _pairwise_sq_dists_np, in blocks that bound the temporaries.
+    m = a.shape[1]
+    out = np.empty(rows.shape[0], dtype=np.float64)
+    step = max(1, _BLOCK // max(1, m))
+    for lo in range(0, rows.shape[0], step):
+        hi = min(lo + step, rows.shape[0])
+        diff = a[rows[lo:hi]]
+        diff -= b[cols[lo:hi]]
+        np.einsum("ij,ij->i", diff, diff, out=out[lo:hi])
+    return out
+
+
+def row_argmin(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row argmin (lowest index wins ties) and the minimum itself."""
+    labels = d2.argmin(axis=1)
+    return labels, d2[np.arange(d2.shape[0]), labels]
+
+
+# The screen's error analysis needs every product and square to stay a normal
+# double: nonzero magnitudes within [2**-400, 2**400] keep squares, products
+# and M-term sums far from underflow and overflow.
+_SCREEN_RANGE = (2.0 ** -400, 2.0 ** 400)
+
+
+def _screenable(x) -> bool:
+    mag = np.abs(x)
+    lo, hi = _SCREEN_RANGE
+    return bool(mag.max(initial=0.0) <= hi
+                and mag.min(initial=np.inf, where=mag != 0) >= lo)
+
+
+def nearest_sq_dists(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest row of ``b`` for every row of ``a``: (labels, squared distances).
+
+    Bit-identical to ``row_argmin(_pairwise_sq_dists_np(a, b))``: lowest
+    index wins ties. One GEMM per block of rows screens
+    ``s_ij = |a_i|^2 + |b_j|^2 - 2 a_i.b_j``; only the pairs that could still
+    hold the row minimum are recomputed by difference. Non-finite input, or
+    magnitudes outside ``_SCREEN_RANGE``, take the full matrix instead.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    n, m = a.shape
+    if n == 0 or not (_screenable(a) and _screenable(b)):
+        return row_argmin(_pairwise_sq_dists_np(a, b))
+    an = np.einsum("ij,ij->i", a, a)
+    bn = np.einsum("ij,ij->i", b, b)
+    # Rounding bound, with u = 2**-53, N_ij = |a_i|^2 + |b_j|^2 and the exact
+    # squared distance d_ij <= 2 N_ij. Any summation order, FMA or not:
+    #   screen:    |s_ij - d_ij| <= (2 gamma_M + 4u) N_ij  (two norms, one dot
+    #              product, two additions), gamma_M = M u / (1 - M u);
+    #   reference: |e_ij - d_ij| <= gamma_{M+2} d_ij <= 2 gamma_{M+2} N_ij.
+    # Together below (4M + 9) u N_ij; tol doubles that, which also covers the
+    # rounding of tol itself, of s -+ tol, and of an, bn standing in for N.
+    # If column j* holds the reference minimum of row i, then
+    #   s_ij* - tol_ij* <= e_ij* <= e_ij <= s_ij + tol_ij  for every j,
+    # so j* is kept. Screened-out pairs read as +inf, which no confirmed
+    # distance reaches inside the screen range, so the argmin over the
+    # block is the full argmin, ties included.
+    slack = (4 * m + 16) * 2.0 ** -52
+    labels = np.empty(n, dtype=np.intp)
+    mins = np.empty(n, dtype=np.float64)
+    step = max(1, 4 * _BLOCK // max(1, b.shape[0]))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        s = a[lo:hi] @ b.T
+        s *= -2.0
+        s += an[lo:hi, None]
+        s += bn
+        tol = an[lo:hi, None] + bn
+        tol *= slack
+        ceiling = (s + tol).min(axis=1)
+        s -= tol
+        rows, cols = np.nonzero(s <= ceiling[:, None])
+        d2 = np.full(s.shape, np.inf)
+        d2[rows, cols] = _confirm(a[lo:hi], b, rows, cols)
+        labels[lo:hi], mins[lo:hi] = row_argmin(d2)
+    return labels, mins
 
 
 def _medoid_update_np(d2, labels, k):
@@ -315,8 +424,10 @@ def fill_normal(state: np.ndarray, n: int) -> np.ndarray:
 
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All squared distances; ``pairwise_sq_dists(a, a)`` is exactly symmetric."""
+    same = b is a
     a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
+    b = a if same else np.ascontiguousarray(b, dtype=np.float64)
     return _BACKENDS[_active]["pairwise_sq_dists"](a, b)
 
 

@@ -207,7 +207,9 @@ def read_schedule(path) -> list[int]:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(obj, list) or not all(isinstance(k, int) for k in obj):
+    if not isinstance(obj, list) or not all(
+        isinstance(k, int) and not isinstance(k, bool) for k in obj
+    ):
         raise DataError(f"{path}: schedule must be a JSON array of integers")
     if any(k < 0 for k in obj):
         raise DataError(f"{path}: schedule entries must be >= 0")

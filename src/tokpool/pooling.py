@@ -8,7 +8,12 @@ minimizes the nearest-retained-token reconstruction error
 
 (w_i = 1 unless a weighted method is used). Determinism rules: every
 argmin/argmax tie resolves to the lowest index, and the k-medoids
-token-to-token distance matrix is computed exactly once per call.
+token-to-token distance matrix is computed exactly once per call, as an upper
+triangle that is then mirrored. Every nearest-center search (k-means
+assignment, empty-cluster repair, random/importance assignment, chamfer loss)
+goes through ``_kernels.nearest_sq_dists``: a BLAS screen whose surviving
+pairs are confirmed exactly by difference, so results do not depend on BLAS
+rounding or thread count.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from .errors import DataError, UsageError
-from .numerics import Rng, as_matrix, pairwise_sq_dists, sample_without_replacement
+from .numerics import Rng, as_matrix, sample_without_replacement
 from .transformer import TokenSet
 
 METHODS = ("kmeans", "wkmeans", "kmedoids", "wkmedoids", "random", "importance", "grid")
@@ -74,7 +79,7 @@ def chamfer_loss(f, fhat, weights=None) -> float:
         )
     if weights is None and isinstance(f, TokenSet):
         weights = f.weights
-    mins = kernels.pairwise_sq_dists(feats, fhat).min(axis=1)
+    mins = kernels.nearest_sq_dists(feats, fhat)[1]
     if weights is None:
         return float(mins.sum())
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
@@ -100,14 +105,14 @@ def _repair_empty(centers, feats, occupied, medoids=None):
     clusters, so the promoted token always differs from every live center and
     the move can only lower the reconstruction objective.
     """
-    errs = kernels.pairwise_sq_dists(feats, centers[occupied]).min(axis=1)
+    errs = kernels.nearest_sq_dists(feats, centers[occupied])[1]
     for j in np.flatnonzero(~occupied):
         t = int(np.argmax(errs))
         centers[j] = feats[t]
         if medoids is not None:
             medoids[j] = t
         # fold the new center in so equal-valued tokens stop looking bad
-        errs = np.minimum(errs, kernels.pairwise_sq_dists(feats, feats[t:t + 1])[:, 0])
+        errs = np.minimum(errs, kernels.nearest_sq_dists(feats, feats[t:t + 1])[1])
         errs[t] = -np.inf
 
 
@@ -123,9 +128,9 @@ def _lloyd(feats, obj_w, init_w, spec: PoolSpec):
     centers = feats[init_idx].astype(np.float64, copy=True)
 
     def assign(cur_centers):
-        d2 = d2_all[:, medoids] if medoid else kernels.pairwise_sq_dists(feats, cur_centers)
-        labels = d2.argmin(axis=1)
-        return labels.astype(np.int64), d2[np.arange(n), labels]
+        if not medoid:
+            return kernels.nearest_sq_dists(feats, cur_centers)
+        return kernels.row_argmin(d2_all[:, medoids])
 
     labels, errs = assign(centers)
     prev = labels
@@ -159,9 +164,8 @@ def _result_counts(labels: np.ndarray, k: int, multiplicities: np.ndarray) -> np
 
 
 def _nearest_assignment(feats, centers, multiplicities):
-    d2 = kernels.pairwise_sq_dists(feats, centers)
-    labels = d2.argmin(axis=1).astype(np.int64)
-    loss = float(d2[np.arange(feats.shape[0]), labels].sum())
+    labels, mins = kernels.nearest_sq_dists(feats, centers)
+    loss = float(mins.sum())
     counts = _result_counts(labels, centers.shape[0], multiplicities)
     return labels, loss, counts
 

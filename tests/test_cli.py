@@ -55,6 +55,12 @@ class TestCost:
         code, _, err = run_cli(capsys, "cost", "--config", "missing.json")
         assert code == 2 and "data error" in err
 
+    def test_boolean_schedule_is_data_error(self, capsys, tmp_path):
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps([True] + [196] * 11))
+        code, out, err = run_cli(capsys, "cost", "--config", DEIT_S_CONFIG, "--schedule", str(sched))
+        assert code == 2 and out == "" and "array of integers" in err
+
 
 class TestPool:
     def test_identity_guard_byte_identical(self, capsys, tmp_path):

@@ -172,3 +172,10 @@ class TestSchedule:
         path.write_text("[1, -2]")
         with pytest.raises(DataError):
             tpio.read_schedule(path)
+
+    def test_rejects_booleans(self, tmp_path):
+        # JSON true is a Python bool, itself an int subclass; it is not K=1
+        path = tmp_path / "s.json"
+        path.write_text("[true, 196]")
+        with pytest.raises(DataError, match="array of integers"):
+            tpio.read_schedule(path)
