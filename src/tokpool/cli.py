@@ -210,8 +210,18 @@ def _load_weight_vector(path, n) -> np.ndarray:
     return flat
 
 
+def _read_tokens(path) -> np.ndarray:
+    feats = tpio.read_matrix(path)
+    if feats.size == 0:
+        raise DataError(
+            f"{path}: a token matrix needs at least one row and one column, "
+            f"got {feats.shape[0]}x{feats.shape[1]}"
+        )
+    return feats
+
+
 def _cmd_pool(args) -> int:
-    feats = tpio.read_matrix(args.input)
+    feats = _read_tokens(args.input)
     n = feats.shape[0]
     weights = None
     if args.weights and args.scores_from:
@@ -301,7 +311,7 @@ def _load_weights_dir(path, config):
 
 def _cmd_forward(args) -> int:
     config = tpio.read_config(args.config)
-    feats = tpio.read_matrix(args.input)
+    feats = _read_tokens(args.input)
     tokens = TokenSet(feats)
     if args.weights_dir and args.seed is not None:
         raise UsageError("give either --seed or --weights-dir, not both")

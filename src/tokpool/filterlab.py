@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import DataError, UsageError
 from .numerics import Rng, as_matrix
 
@@ -32,8 +33,7 @@ def _attention_on(queries, keys, values, alpha) -> np.ndarray:
 
 
 def _filter_on(queries, keys, values, alpha) -> np.ndarray:
-    diff = queries[:, None, :] - keys[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    d2 = _kernels.pairwise_sq_dists(queries, keys)
     return _softmax_weighted(-(alpha / 2.0) * d2, values)
 
 

@@ -7,7 +7,9 @@ draws use the Marsaglia polar method on consecutive uniform pairs (pairs
 landing outside the unit disc are discarded; the unused spare of the final
 pair is dropped at the end of each fill). Integer and uniform streams are
 bit-identical across platforms and kernel backends; Gaussian draws
-additionally depend on the platform's ``log``/``sqrt``.
+additionally depend on the platform's ``log``/``sqrt``. On the numpy backend
+fills are vectorized (jump-ahead lanes, see ``_kernels``) and reproduce the
+one-draw-at-a-time stream exactly; Gaussian fills keep ``math.log`` for that.
 """
 
 from __future__ import annotations
@@ -111,8 +113,10 @@ def sample_without_replacement(rng: Rng, n: int, k: int, probs=None) -> np.ndarr
     """Draw ``k`` distinct indices from ``range(n)``.
 
     Sequential draws renormalize the remaining mass after each pick
-    (Plackett-Luce order); uniform when ``probs`` is omitted. One uniform
-    double is consumed per draw.
+    (Plackett-Luce order); uniform when ``probs`` is omitted. The ``k``
+    uniform doubles, one per draw, are taken in one fill before the first
+    pick, so the generator advances by ``k`` draws even when the call raises
+    partway.
     """
     n = int(n)
     k = int(k)
@@ -131,12 +135,13 @@ def sample_without_replacement(rng: Rng, n: int, k: int, probs=None) -> np.ndarr
         if remaining.sum() <= 0.0:
             raise DataError("probs sum to zero")
     out = np.empty(k, dtype=np.int64)
+    uniforms = rng.random(k)
     for i in range(k):
         cum = np.cumsum(remaining)
         total = cum[-1]
         if total <= 0.0:
             raise DataError("probability mass exhausted before k draws")
-        r = rng.random() * total
+        r = uniforms[i] * total
         idx = int(np.searchsorted(cum, r, side="right"))
         if idx >= n:  # r rounded up to total: take the last positive-mass entry
             idx = n - 1

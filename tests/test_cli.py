@@ -121,6 +121,17 @@ class TestPool:
         )
         assert code == 1 and "usage error" in err
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_token_file_is_data_error(self, capsys, tmp_path, shape):
+        src = tmp_path / "empty.tpm"
+        tpio.write_matrix(src, np.zeros(shape))
+        code, _, err = run_cli(
+            capsys, "pool", "--input", str(src), "--k", "2", "--method", "kmeans",
+            "--out", str(tmp_path / "o.tpm"),
+        )
+        assert code == 2 and "data error" in err and "at least one row" in err
+        assert not (tmp_path / "o.tpm").exists()
+
     def test_deterministic_output_files(self, capsys, tmp_path):
         src = tmp_path / "f.tpm"
         tpio.write_matrix(src, np.random.default_rng(3).normal(size=(9, 3)))
@@ -264,6 +275,16 @@ class TestForward:
         )
         assert code == 0, err
         assert tpio.read_matrix(out).shape == (3, 16)
+
+    def test_empty_token_file_is_data_error(self, capsys, tmp_path):
+        cfg = self._write_desk_config(tmp_path)
+        src = tmp_path / "empty.tpm"
+        tpio.write_matrix(src, np.zeros((0, 16)))
+        code, _, err = run_cli(
+            capsys, "forward", "--config", str(cfg), "--input", str(src),
+            "--seed", "1", "--out", str(tmp_path / "o.tpm"),
+        )
+        assert code == 2 and "at least one row" in err
 
     def test_seed_and_weights_dir_conflict(self, capsys, tmp_path):
         cfg = self._write_desk_config(tmp_path)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tokpool import filterlab
 from tokpool.errors import DataError, UsageError
 from tokpool.filterlab import FilterProbe, attention_form, filter_form, verify_equivalence
 
@@ -116,3 +119,33 @@ class TestValidation:
         p = FilterProbe.random(8, 4, alpha=2.0, seed=9)
         np.testing.assert_allclose(np.linalg.norm(p.queries, axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(p.keys, axis=1), 1.0, atol=1e-12)
+
+
+class TestFilterDistances:
+    @pytest.mark.parametrize("nq, nk, m", [(1, 1, 1), (7, 5, 3), (40, 250, 300)])
+    def test_bit_identical_to_full_broadcast(self, nq, nk, m):
+        # The filter route takes its distances from the blocked kernel; its
+        # output must equal the one-shot (nq, nk, m) difference tensor's.
+        rng = np.random.default_rng(nq + nk + m)
+        p = FilterProbe(
+            queries=unit_rows(rng.normal(size=(nq, m))),
+            keys=unit_rows(rng.normal(size=(nk, m))),
+            values=rng.normal(size=(nk, 4)),
+            alpha=3.5,
+        )
+        diff = p.queries[:, None, :] - p.keys[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        expected = filterlab._softmax_weighted(-(p.alpha / 2.0) * d2, p.values)
+        np.testing.assert_array_equal(filter_form(p), expected)
+
+    def test_verify_memory_is_quadratic_not_cubic(self):
+        # n=600, m=64: an (n, n, m) difference tensor alone is 184 MB; a few
+        # n x n matrices are under 20 MB.
+        verify_equivalence(8, 4, 2.0, seed=1)
+        tracemalloc.start()
+        try:
+            verify_equivalence(600, 64, 4.0, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"

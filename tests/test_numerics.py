@@ -177,6 +177,22 @@ class TestSampleWithoutReplacement:
         sigma = np.sqrt(100_000 * 0.25 * 0.75)
         assert (np.abs(counts - expected) < 3 * sigma).all(), counts
 
+    def test_one_uniform_per_draw_in_stream_order(self):
+        # Same picks and same final state as drawing rng.random() per pick.
+        probs = np.arange(40) % 7 + 0.5
+        rng = Rng(31)
+        idx = sample_without_replacement(rng, 40, 25, probs=probs)
+        ref = Rng(31)
+        remaining = probs.copy()
+        expected = []
+        for _ in range(25):
+            cum = np.cumsum(remaining)
+            pick = int(np.searchsorted(cum, ref.random() * cum[-1], side="right"))
+            expected.append(pick)
+            remaining[pick] = 0.0
+        assert idx.tolist() == expected
+        np.testing.assert_array_equal(rng._state, ref._state)
+
     def test_deterministic_per_seed(self):
         a = sample_without_replacement(Rng(9), 10, 4, probs=np.arange(10) + 1.0)
         b = sample_without_replacement(Rng(9), 10, 4, probs=np.arange(10) + 1.0)
