@@ -166,14 +166,14 @@ def edges(lanes, lane_min, pairs):
     return sorted(s for s in sizes if 0 <= s <= 9000)
 
 
-FILLS = {"u64": "u64", "uniform": "random", "normal": "normal"}
+KINDS = ("u64", "random", "normal")  # Rng and Reference method names
 
 
 def check_sequence(seed, fills):
     rng, ref = Rng(seed), Reference(seed)
     for kind, n in fills:
-        got = getattr(rng, FILLS[kind])(n)
-        want = getattr(ref, FILLS[kind])(n)
+        got = getattr(rng, kind)(n)
+        want = getattr(ref, kind)(n)
         assert got.dtype == want.dtype and got.shape == (n,)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(rng._state, ref.state)
@@ -185,14 +185,14 @@ def check_sequence(seed, fills):
 def test_interleaved_fills_match_scalar_stepper(config, data, seed):
     sizes = st.one_of(st.sampled_from(edges(*config)), st.integers(0, 2500))
     fills = data.draw(
-        st.lists(st.tuples(st.sampled_from(sorted(FILLS)), sizes), min_size=1, max_size=4)
+        st.lists(st.tuples(st.sampled_from(KINDS), sizes), min_size=1, max_size=4)
     )
     with geometry(*config):
         check_sequence(seed, fills)
 
 
 @pytest.mark.parametrize("config", [REAL, SMALL], ids=["real", "small"])
-@pytest.mark.parametrize("kind", sorted(FILLS))
+@pytest.mark.parametrize("kind", KINDS)
 def test_edge_sizes(config, kind):
     with geometry(*config):
         check_sequence(11, [(kind, n) for n in edges(*config)])
@@ -214,7 +214,7 @@ def test_lane_cap_and_long_jumps():
     # More draws than _LANES lanes of the natural length: the lane count caps
     # and lanes grow; the Gaussian rewind jumps by A**k with k >= _LANE_MIN.
     with geometry(8, 4, 1 << 12):
-        check_sequence(5, [("u64", 6000), ("normal", 5001), ("uniform", 3)])
+        check_sequence(5, [("u64", 6000), ("normal", 5001), ("random", 3)])
 
 
 def test_tables_are_lazy():
