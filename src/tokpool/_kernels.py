@@ -1,14 +1,6 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels: the random stream, distances and the medoid update.
 
-The ``numba`` backend JIT-compiles the inner loops; the ``numpy`` backend is
-a vectorized fallback. Select a backend with the environment variable
-``TOKPOOL_BACKEND`` set to ``numba`` or ``numpy`` before import, or call
-:func:`set_backend` at runtime.
-
-The random stream is xoshiro256** over four 64-bit words. Integer and
-uniform output is bit-identical between backends because the arithmetic is
-exact; floating-point reductions (pairwise distances) may differ in the last
-ulp because summation order differs. The numpy backend produces the stream in
+The random stream is xoshiro256** over four 64-bit words. It is produced in
 parallel lanes: the state transition is linear over GF(2), so lane starts are
 found by jump-ahead (powers of the 256 x 256 bit matrix, built on the first
 fill of at least ``_LANE_MIN`` draws) and all lanes step together as
@@ -19,33 +11,22 @@ function the scalar method calls, because numpy's SIMD ``log`` differs from
 it in the last ulp on some inputs (0.36% of them on an AVX-512 host).
 
 Distances are exact by difference: each entry is ``sum((a_i - b_j)**2)``,
-never the norm expansion, so identical rows give an exact zero. The numpy
-kernel walks cache-sized blocks; for a self-distance call (``b is a``) it
-fills only the upper triangle and mirrors it. :func:`nearest_sq_dists`, the
-nearest-row search, screens with one BLAS product and confirms the surviving
-pairs by difference, so its labels and distances equal the argmin and min of
-the full numpy matrix bit for bit, whatever BLAS rounding or threading does.
-It always confirms in numpy, also when the numba backend is active.
+never the norm expansion, so identical rows give an exact zero. The kernel
+walks cache-sized blocks; for a self-distance call (``b is a``) it fills only
+the upper triangle and mirrors it. :func:`nearest_sq_dists`, the nearest-row
+search, screens with one BLAS product and confirms the surviving pairs by
+difference, so its labels and distances equal the argmin and min of the full
+matrix bit for bit, whatever BLAS rounding or threading does.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 
 import numpy as np
 
 from .errors import UsageError
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-ENV_BACKEND = "TOKPOOL_BACKEND"
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -72,11 +53,6 @@ def seed_state(seed: int) -> np.ndarray:
     if not state.any():  # all-zero state is the one forbidden xoshiro state
         state[0] = np.uint64(1)
     return state
-
-
-# ---------------------------------------------------------------------------
-# numpy / pure-python backend
-# ---------------------------------------------------------------------------
 
 
 def _step_py(s0, s1, s2, s3):
@@ -177,7 +153,9 @@ def _lane_starts(state, b, lanes):
     return starts
 
 
-def _fill_u64_np(state, n):
+def fill_u64(state: np.ndarray, n: int) -> np.ndarray:
+    """The next ``n`` 64-bit draws; advances ``state`` in place."""
+    n = int(n)
     if n < _LANE_MIN:
         out = np.empty(n, dtype=np.uint64)
         _fill_u64_py(state, out)
@@ -213,22 +191,25 @@ def _fill_u64_np(state, n):
     return rows.T.reshape(-1)[:n]
 
 
-def _fill_uniform_np(state, n):
-    return (_fill_u64_np(state, n) >> 11) * _DOUBLE_SCALE
+def fill_uniform(state: np.ndarray, n: int) -> np.ndarray:
+    """The next ``n`` uniform doubles in [0, 1); advances ``state`` in place."""
+    return (fill_u64(state, n) >> 11) * _DOUBLE_SCALE
 
 
-def _fill_normal_np(state, n):
+def fill_normal(state: np.ndarray, n: int) -> np.ndarray:
+    """The next ``n`` standard Gaussian draws; advances ``state`` in place."""
     # Marsaglia polar method over chunks of uniform pairs. Once a chunk holds
     # the last pair needed, the state is rewound to just after that pair; the
     # spare value of an odd n is dropped. The logarithm is math.log on each
     # element: np.log's SIMD path can differ from it in the last ulp.
+    n = int(n)
     out = np.empty(n, dtype=np.float64)
     done = 0
     while done < n:
         need = (n - done + 1) // 2
         pairs = min(_PAIRS, need + need // 3 + 8)  # about pi/4 are accepted
         start = state.copy()
-        uv = 2.0 * _fill_uniform_np(state, 2 * pairs) - 1.0
+        uv = 2.0 * fill_uniform(state, 2 * pairs) - 1.0
         u, v = uv[0::2], uv[1::2]
         s = u * u + v * v
         ok = np.flatnonzero((s < 1.0) & (s != 0.0))
@@ -253,16 +234,19 @@ def _fill_normal_np(state, n):
 _BLOCK = 1 << 16
 
 
-def _pairwise_sq_dists_np(a, b):
+def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All squared distances; ``pairwise_sq_dists(a, a)`` is exactly symmetric."""
     # Differences are squared directly (no norm-expansion trick) so that
     # identical rows give an exact zero. einsum sums each length-M row in an
     # order that depends only on M, so every block size gives the same bits.
     # For ``b is a`` only column blocks from each row block's first row on are
     # computed, and the strict lower triangle is mirrored from the upper one:
     # (x - y)**2 == (y - x)**2 exactly.
+    symmetric = b is a
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = a if symmetric else np.ascontiguousarray(b, dtype=np.float64)
     n, m = a.shape
     k = b.shape[0]
-    symmetric = b is a
     out = np.empty((n, k), dtype=np.float64)
     cols = max(1, min(k, _BLOCK // max(1, m)))
     rows = max(1, _BLOCK // max(1, cols * m))
@@ -281,7 +265,7 @@ def _pairwise_sq_dists_np(a, b):
 
 def _confirm(a, b, rows, cols):
     # Exact distances of the listed pairs, by the same einsum reduction as
-    # _pairwise_sq_dists_np, in blocks that bound the temporaries.
+    # pairwise_sq_dists, in blocks that bound the temporaries.
     m = a.shape[1]
     out = np.empty(rows.shape[0], dtype=np.float64)
     step = max(1, _BLOCK // max(1, m))
@@ -315,7 +299,7 @@ def _screenable(x) -> bool:
 def nearest_sq_dists(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest row of ``b`` for every row of ``a``: (labels, squared distances).
 
-    Bit-identical to ``row_argmin(_pairwise_sq_dists_np(a, b))``: lowest
+    Bit-identical to ``row_argmin(pairwise_sq_dists(a, b))``: lowest
     index wins ties. One GEMM per block of rows screens
     ``s_ij = |a_i|^2 + |b_j|^2 - 2 a_i.b_j``; only the pairs that could still
     hold the row minimum are recomputed by difference. Non-finite input, or
@@ -325,7 +309,7 @@ def nearest_sq_dists(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     b = np.ascontiguousarray(b, dtype=np.float64)
     n, m = a.shape
     if n == 0 or not (_screenable(a) and _screenable(b)):
-        return row_argmin(_pairwise_sq_dists_np(a, b))
+        return row_argmin(pairwise_sq_dists(a, b))
     an = np.einsum("ij,ij->i", a, a)
     bn = np.einsum("ij,ij->i", b, b)
     # Rounding bound, with u = 2**-53, N_ij = |a_i|^2 + |b_j|^2 and the exact
@@ -361,7 +345,14 @@ def nearest_sq_dists(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return labels, mins
 
 
-def _medoid_update_np(d2, labels, k):
+def medoid_update(d2: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Per cluster, the member with the least summed distance to the others.
+
+    Lowest index wins ties; an empty cluster gets -1.
+    """
+    d2 = np.ascontiguousarray(d2, dtype=np.float64)
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    k = int(k)
     med = np.full(k, -1, dtype=np.int64)
     for j in range(k):
         idx = np.flatnonzero(labels == j)
@@ -372,182 +363,18 @@ def _medoid_update_np(d2, labels, k):
     return med
 
 
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _next_u64_nb(state):
-        s0 = state[0]
-        s1 = state[1]
-        s2 = state[2]
-        s3 = state[3]
-        r = s1 * np.uint64(5)
-        r = (r << np.uint64(7)) | (r >> np.uint64(57))
-        r = r * np.uint64(9)
-        t = s1 << np.uint64(17)
-        s2 = s2 ^ s0
-        s3 = s3 ^ s1
-        s1 = s1 ^ s2
-        s0 = s0 ^ s3
-        s2 = s2 ^ t
-        s3 = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
-        state[0] = s0
-        state[1] = s1
-        state[2] = s2
-        state[3] = s3
-        return r
-
-    @njit(cache=True)
-    def _fill_u64_nb(state, out):
-        for i in range(out.shape[0]):
-            out[i] = _next_u64_nb(state)
-
-    @njit(cache=True)
-    def _fill_uniform_nb(state, out):
-        for i in range(out.shape[0]):
-            out[i] = np.float64(_next_u64_nb(state) >> np.uint64(11)) * _DOUBLE_SCALE
-
-    @njit(cache=True)
-    def _fill_normal_nb(state, out):
-        n = out.shape[0]
-        i = 0
-        while i < n:
-            ra = np.float64(_next_u64_nb(state) >> np.uint64(11)) * _DOUBLE_SCALE
-            rb = np.float64(_next_u64_nb(state) >> np.uint64(11)) * _DOUBLE_SCALE
-            u = 2.0 * ra - 1.0
-            v = 2.0 * rb - 1.0
-            s = u * u + v * v
-            if s >= 1.0 or s == 0.0:
-                continue
-            f = math.sqrt(-2.0 * math.log(s) / s)
-            out[i] = u * f
-            i += 1
-            if i < n:
-                out[i] = v * f
-                i += 1
-
-    @njit(cache=True)
-    def _pairwise_sq_dists_nb(a, b):
-        n, m = a.shape
-        k = b.shape[0]
-        out = np.empty((n, k), dtype=np.float64)
-        for i in range(n):
-            for j in range(k):
-                acc = 0.0
-                for t in range(m):
-                    d = a[i, t] - b[j, t]
-                    acc += d * d
-                out[i, j] = acc
-        return out
-
-    @njit(cache=True)
-    def _medoid_update_nb(d2, labels, k):
-        n = labels.shape[0]
-        med = np.full(k, -1, dtype=np.int64)
-        best = np.full(k, np.inf)
-        for i in range(n):
-            j = labels[i]
-            cost = 0.0
-            for t in range(n):
-                if labels[t] == j:
-                    cost += d2[i, t]
-            if cost < best[j]:  # strict: first (lowest-index) minimum wins
-                best[j] = cost
-                med[j] = i
-        return med
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-_BACKENDS = {
-    "numpy": {
-        "fill_u64": _fill_u64_np,
-        "fill_uniform": _fill_uniform_np,
-        "fill_normal": _fill_normal_np,
-        "pairwise_sq_dists": _pairwise_sq_dists_np,
-        "medoid_update": _medoid_update_np,
-    }
-}
-
-if HAVE_NUMBA:
-
-    def _nb_fill(fill, dtype):
-        def run(state, n):
-            out = np.empty(int(n), dtype=dtype)
-            fill(state, out)
-            return out
-
-        return run
-
-    _BACKENDS["numba"] = {
-        "fill_u64": _nb_fill(_fill_u64_nb, np.uint64),
-        "fill_uniform": _nb_fill(_fill_uniform_nb, np.float64),
-        "fill_normal": _nb_fill(_fill_normal_nb, np.float64),
-        "pairwise_sq_dists": _pairwise_sq_dists_nb,
-        "medoid_update": _medoid_update_nb,
-    }
-
-
-def _initial_backend() -> str:
-    choice = os.environ.get(ENV_BACKEND, "").strip().lower()
-    if choice:
-        if choice not in _BACKENDS:
-            raise UsageError(
-                f"{ENV_BACKEND}={choice!r} is not available; "
-                f"choose one of {sorted(_BACKENDS)}"
-            )
-        return choice
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_active = _initial_backend()
-
-
 def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
+    """The kernel backends present, for the benchmark's environment record."""
+    return ("numpy",)
 
 
 def get_backend() -> str:
-    return _active
+    """The active kernel backend, for the benchmark's environment record."""
+    return "numpy"
 
 
 def set_backend(name: str) -> str:
-    """Switch kernel backend; returns the previously active one."""
-    global _active
-    if name not in _BACKENDS:
-        raise UsageError(f"unknown backend {name!r}; choose one of {sorted(_BACKENDS)}")
-    previous = _active
-    _active = name
-    return previous
-
-
-def fill_u64(state: np.ndarray, n: int) -> np.ndarray:
-    return _BACKENDS[_active]["fill_u64"](state, int(n))
-
-
-def fill_uniform(state: np.ndarray, n: int) -> np.ndarray:
-    return _BACKENDS[_active]["fill_uniform"](state, int(n))
-
-
-def fill_normal(state: np.ndarray, n: int) -> np.ndarray:
-    return _BACKENDS[_active]["fill_normal"](state, int(n))
-
-
-def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All squared distances; ``pairwise_sq_dists(a, a)`` is exactly symmetric."""
-    same = b is a
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = a if same else np.ascontiguousarray(b, dtype=np.float64)
-    return _BACKENDS[_active]["pairwise_sq_dists"](a, b)
-
-
-def medoid_update(d2: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    d2 = np.ascontiguousarray(d2, dtype=np.float64)
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
-    return _BACKENDS[_active]["medoid_update"](d2, labels, int(k))
+    """Check a backend name for the benchmark; returns the previous (numpy)."""
+    if name != "numpy":
+        raise UsageError(f"unknown backend {name!r}; the only backend is 'numpy'")
+    return "numpy"

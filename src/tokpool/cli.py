@@ -9,6 +9,7 @@ Identical argv (including seeds) produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -92,22 +93,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("TOKPOOL_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        raise UsageError(f"TOKPOOL_THREADS={cap!r} is not an integer") from None
-    try:  # kernels are sequential today; the cap future-proofs numba use
-        import numba
-
-        numba.set_num_threads(min(n, numba.config.NUMBA_NUM_THREADS))
-    except ImportError:
-        pass
-
-
 # ---------------------------------------------------------------------------
 # cost
 # ---------------------------------------------------------------------------
@@ -180,11 +165,7 @@ def _cmd_cost(args) -> int:
     if args.schedule:
         sched = tpio.read_schedule(args.schedule)
         try:
-            config = type(config)(
-                layers=config.layers, dim=config.dim, heads=config.heads,
-                tokens=config.tokens, mlp_ratio=config.mlp_ratio,
-                schedule=sched, alpha=config.alpha, mode=config.mode,
-            )
+            config = dataclasses.replace(config, schedule=sched)
         except UsageError as exc:
             raise DataError(f"{args.schedule}: {exc}") from None
     report = model_flops(config, args.clustering, args.iters)
@@ -380,7 +361,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        _apply_thread_cap()
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:

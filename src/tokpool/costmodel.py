@@ -19,12 +19,14 @@ cached-distance assignments).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DataError, UsageError
 
 CATEGORIES = ("attention", "qkv", "oproj", "mlp", "clustering")
 CLUSTER_METHODS = ("kmeans", "kmedoids")
+MODES = ("standard", "normalized_alpha", "carry")
 
 
 @dataclass(frozen=True)
@@ -55,10 +57,10 @@ class ModelConfig:
                 )
             if any(k < 0 for k in self.schedule):
                 raise UsageError("schedule entries must be >= 0")
-        if self.mode not in ("standard", "normalized_alpha", "carry"):
+        if self.mode not in MODES:
             raise UsageError(f"unknown mode {self.mode!r}")
-        if self.alpha is not None and not self.alpha > 0:
-            raise UsageError("alpha must be positive")
+        if self.alpha is not None and not 0 < self.alpha <= sys.float_info.max:
+            raise UsageError("alpha must be finite and positive")
 
     @property
     def head_dim(self) -> int:

@@ -12,6 +12,7 @@ norm constraint they generally disagree, which the verifier demonstrates.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,8 @@ class FilterProbe:
             raise UsageError("query and key dims differ")
         if self.keys.shape[0] != self.values.shape[0]:
             raise UsageError("need one value row per key row")
-        if not self.alpha > 0:
-            raise UsageError("alpha must be positive")
+        if not 0 < self.alpha <= sys.float_info.max:
+            raise UsageError("alpha must be finite and positive")
         for name in ("queries", "keys"):
             norms = np.linalg.norm(getattr(self, name), axis=1)
             err = np.abs(norms - 1.0).max()
@@ -120,10 +121,10 @@ def verify_equivalence(
     unit_norm: bool = True,
 ) -> VerifyReport:
     """Evaluate both routes on a seeded random probe and compare."""
-    if not tol > 0:
-        raise UsageError("tol must be positive")
-    if not alpha > 0:
-        raise UsageError("alpha must be positive")
+    if not 0 < tol <= sys.float_info.max:
+        raise UsageError("tol must be finite and positive")
+    if not 0 < alpha <= sys.float_info.max:
+        raise UsageError("alpha must be finite and positive")
     q, k, v = _random_probe_arrays(n, m, seed, unit_norm)
     dev = float(np.abs(_attention_on(q, k, v, alpha) - _filter_on(q, k, v, alpha)).max())
     return VerifyReport(

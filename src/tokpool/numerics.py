@@ -6,10 +6,10 @@ splitmix64 stream whose first four outputs become the 256-bit state. A
 draws use the Marsaglia polar method on consecutive uniform pairs (pairs
 landing outside the unit disc are discarded; the unused spare of the final
 pair is dropped at the end of each fill). Integer and uniform streams are
-bit-identical across platforms and kernel backends; Gaussian draws
-additionally depend on the platform's ``log``/``sqrt``. On the numpy backend
-fills are vectorized (jump-ahead lanes, see ``_kernels``) and reproduce the
-one-draw-at-a-time stream exactly; Gaussian fills keep ``math.log`` for that.
+bit-identical across platforms; Gaussian draws additionally depend on the
+platform's ``log``/``sqrt``. Fills are vectorized (jump-ahead lanes, see
+``_kernels``) and reproduce the one-draw-at-a-time stream exactly; Gaussian
+fills keep ``math.log`` for that.
 """
 
 from __future__ import annotations

@@ -16,11 +16,11 @@ import numpy as np
 from .costmodel import ModelConfig
 from .errors import UsageError
 from .numerics import derive_seed
-from .pooling import PoolSpec, token_pool
+from .pooling import METHODS, PoolSpec, token_pool
 from .scoring import significance
 from .transformer import BlockWeights, TokenSet, block_forward_detailed
 
-POOL_METHODS = ("kmeans", "wkmeans", "kmedoids", "wkmedoids", "random", "importance")
+POOL_METHODS = tuple(m for m in METHODS if m != "grid")
 
 
 @dataclass

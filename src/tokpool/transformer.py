@@ -11,17 +11,16 @@ which is what the unit oracles check. Attention modes:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .costmodel import ModelConfig
+from .costmodel import MODES, ModelConfig
 from .errors import DataError, UsageError
 from .numerics import Rng, as_matrix
 
 LN_EPS = 1e-6
-
-MODES = ("standard", "normalized_alpha", "carry")
 
 
 @dataclass
@@ -110,8 +109,8 @@ class BlockWeights:
                 f"mlp shapes {self.mlp1.shape} -> {self.mlp2.shape} do not map "
                 f"{m} -> hidden -> {m}"
             )
-        if self.alpha is not None and not self.alpha > 0:
-            raise UsageError("alpha must be positive")
+        if self.alpha is not None and not 0 < self.alpha <= sys.float_info.max:
+            raise UsageError("alpha must be finite and positive")
 
     @property
     def heads(self) -> int:

@@ -1,23 +1,3 @@
 from pathlib import Path
 
-import pytest
-
-from tokpool import _kernels
-
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-@pytest.fixture
-def each_backend(request):
-    """Run a test once per available kernel backend."""
-    name = request.param
-    previous = _kernels.set_backend(name)
-    yield name
-    _kernels.set_backend(previous)
-
-
-def pytest_generate_tests(metafunc):
-    if "each_backend" in metafunc.fixturenames:
-        metafunc.parametrize(
-            "each_backend", _kernels.available_backends(), indirect=True
-        )

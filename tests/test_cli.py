@@ -61,6 +61,13 @@ class TestCost:
         code, out, err = run_cli(capsys, "cost", "--config", DEIT_S_CONFIG, "--schedule", str(sched))
         assert code == 2 and out == "" and "array of integers" in err
 
+    @pytest.mark.parametrize("alpha", ["Infinity", "1" + "0" * 400])
+    def test_alpha_beyond_double_range_is_data_error(self, capsys, tmp_path, alpha):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"layers": 4, "dim": 16, "heads": 4, "tokens": 10, "alpha": {alpha}}}')
+        code, out, err = run_cli(capsys, "cost", "--config", str(cfg))
+        assert code == 2 and out == "" and "alpha must be finite and positive" in err
+
 
 class TestPool:
     def test_identity_guard_byte_identical(self, capsys, tmp_path):
@@ -286,6 +293,21 @@ class TestForward:
         )
         assert code == 2 and "at least one row" in err
 
+    @pytest.mark.parametrize("alpha", ["Infinity", "1" + "0" * 400])
+    def test_alpha_beyond_double_range_is_data_error(self, capsys, tmp_path, alpha):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"layers": 4, "dim": 16, "heads": 4, "tokens": 10, "alpha": {alpha},'
+                       ' "mode": "normalized_alpha"}')
+        src = tmp_path / "in.tpm"
+        tpio.write_matrix(src, np.ones((10, 16)))
+        out = tmp_path / "o.tpm"
+        code, _, err = run_cli(
+            capsys, "forward", "--config", str(cfg), "--input", str(src),
+            "--seed", "1", "--out", str(out),
+        )
+        assert code == 2 and "alpha must be finite and positive" in err
+        assert not out.exists()
+
     def test_seed_and_weights_dir_conflict(self, capsys, tmp_path):
         cfg = self._write_desk_config(tmp_path)
         src = tmp_path / "in.tpm"
@@ -315,6 +337,15 @@ class TestVerifyFilter:
         )
         assert code == 3
         assert "pass=false" in out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "inf"), ("--tol", "inf"), ("--alpha", "nan"), ("--tol", "nan"),
+    ])
+    def test_non_finite_alpha_or_tol_is_usage_error(self, capsys, flag, value):
+        argv = {"--n": "16", "--m": "8", "--alpha": "3", "--seed": "7", flag: value}
+        code, out, err = run_cli(capsys, "verify-filter", *[t for kv in argv.items() for t in kv])
+        assert code == 1 and out == ""
+        assert f"{flag[2:]} must be finite and positive" in err
 
 
 class TestArgHandling:

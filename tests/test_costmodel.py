@@ -118,6 +118,11 @@ class TestModelFlops:
         with pytest.raises(UsageError):
             ModelConfig(layers=12, dim=384, heads=6, tokens=197, schedule=(1, 2, 3))
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("inf"), float("nan"), 10 ** 400])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(UsageError, match="alpha must be finite and positive"):
+            ModelConfig(layers=12, dim=384, heads=6, tokens=197, alpha=alpha)
+
 
 class TestClusteringFlops:
     def test_zero_when_not_downsampling(self):

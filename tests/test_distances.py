@@ -1,4 +1,4 @@
-"""Exactness of the numpy distance kernels.
+"""Exactness of the distance kernels.
 
 ``nearest_sq_dists`` screens with a BLAS product and confirms by difference;
 its labels and distances must equal the argmin and min of the full matrix bit
@@ -15,13 +15,6 @@ from hypothesis import strategies as st
 from tokpool import _kernels
 
 KINDS = ("float", "ties", "padding", "identical", "offset", "out-of-range")
-
-
-@pytest.fixture(autouse=True, scope="module")
-def numpy_backend():
-    previous = _kernels.set_backend("numpy")
-    yield
-    _kernels.set_backend(previous)
 
 
 def full_nearest(a, b):
@@ -103,7 +96,7 @@ def test_screen_path_skips_full_matrix(monkeypatch):
     a = rng.normal(size=(40, 6))
     b = a[::4].copy()
     expected = full_nearest(a, b)
-    monkeypatch.setattr(_kernels, "_pairwise_sq_dists_np", refuse)
+    monkeypatch.setattr(_kernels, "pairwise_sq_dists", refuse)
     labels, _ = _kernels.nearest_sq_dists(a, b)
     np.testing.assert_array_equal(labels, expected[0])
 
@@ -111,7 +104,7 @@ def test_screen_path_skips_full_matrix(monkeypatch):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0 ** 401, 2.0 ** -401])
 def test_out_of_range_input_takes_full_matrix(monkeypatch, bad):
     calls = []
-    full = _kernels._pairwise_sq_dists_np
+    full = _kernels.pairwise_sq_dists
 
     def counted(a, b):
         calls.append(1)
@@ -119,7 +112,7 @@ def test_out_of_range_input_takes_full_matrix(monkeypatch, bad):
 
     a = np.ones((4, 3))
     a[2, 1] = bad
-    monkeypatch.setattr(_kernels, "_pairwise_sq_dists_np", counted)
+    monkeypatch.setattr(_kernels, "pairwise_sq_dists", counted)
     _kernels.nearest_sq_dists(a, np.zeros((2, 3)))
     assert calls == [1]
 

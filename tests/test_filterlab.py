@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -114,6 +115,16 @@ class TestValidation:
     def test_bad_tol(self):
         with pytest.raises(UsageError):
             verify_equivalence(4, 4, 1.0, seed=0, tol=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_alpha_and_tol(self, value):
+        k = unit_rows(np.random.default_rng(7).normal(size=(2, 3)))
+        with pytest.raises(UsageError, match="alpha must be finite"):
+            FilterProbe(queries=k, keys=k, values=np.ones((2, 2)), alpha=value)
+        with pytest.raises(UsageError, match="alpha must be finite"):
+            verify_equivalence(4, 4, value, seed=0)
+        with pytest.raises(UsageError, match="tol must be finite"):
+            verify_equivalence(4, 4, 1.0, seed=0, tol=value)
 
     def test_probe_random_constructor(self):
         p = FilterProbe.random(8, 4, alpha=2.0, seed=9)

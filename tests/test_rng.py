@@ -1,4 +1,4 @@
-"""The numpy generator against the scalar xoshiro256** stepper, bit for bit.
+"""The generator against the scalar xoshiro256** stepper, bit for bit.
 
 Known answers pin the stream: each digest is the sha256 of the output bytes
 and of the four state words after the fill, as the per-draw scalar loop
@@ -82,13 +82,6 @@ KNOWN = {
 # Every weight array of synth_weights(deit-ti, seed 7), in block order
 # wq, wk, wv, wo, mlp1, mlp2: 5.3M Gaussian draws over 72 fills.
 DEIT_TI_SEED7 = "5ca16d3c90af881601b8ba96c3c9d832d319f2b8ce242f58f7a5a6d04923099f"
-
-
-@pytest.fixture(autouse=True)
-def numpy_backend():
-    previous = _kernels.set_backend("numpy")
-    yield
-    _kernels.set_backend(previous)
 
 
 @pytest.mark.parametrize("seed, kind, size", list(KNOWN))

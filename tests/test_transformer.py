@@ -121,6 +121,14 @@ class TestNormalizedAlphaMode:
             attention_maps(t, with_one, mode="normalized_alpha"),
         )
 
+    @pytest.mark.parametrize("alpha", [0.0, math.inf, math.nan])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        w = make_block(8, 2, seed=18)
+        with pytest.raises(UsageError, match="alpha must be finite and positive"):
+            BlockWeights(
+                wq=w.wq, wk=w.wk, wv=w.wv, wo=w.wo, mlp1=w.mlp1, mlp2=w.mlp2, alpha=alpha
+            )
+
 
 class TestAttentionMaps:
     def test_single_token(self):
