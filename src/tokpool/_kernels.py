@@ -12,11 +12,12 @@ it in the last ulp on some inputs (0.36% of them on an AVX-512 host).
 
 Distances are exact by difference: each entry is ``sum((a_i - b_j)**2)``,
 never the norm expansion, so identical rows give an exact zero. The kernel
-walks cache-sized blocks; for a self-distance call (``b is a``) it fills only
-the upper triangle and mirrors it. :func:`nearest_sq_dists`, the nearest-row
-search, screens with one BLAS product and confirms the surviving pairs by
+walks cache-sized blocks. :func:`nearest_sq_dists`, the nearest-row search,
+screens with one BLAS product and confirms the surviving pairs by
 difference, so its labels and distances equal the argmin and min of the full
-matrix bit for bit, whatever BLAS rounding or threading does.
+matrix bit for bit, whatever BLAS rounding or threading does. The medoid
+update computes distances within each cluster only, a block of rows at a
+time.
 """
 
 from __future__ import annotations
@@ -237,14 +238,11 @@ _BLOCK = 1 << 16
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All squared distances; ``pairwise_sq_dists(a, a)`` is exactly symmetric."""
     # Differences are squared directly (no norm-expansion trick) so that
-    # identical rows give an exact zero. einsum sums each length-M row in an
-    # order that depends only on M, so every block size gives the same bits.
-    # For ``b is a`` only column blocks from each row block's first row on are
-    # computed, and the strict lower triangle is mirrored from the upper one:
-    # (x - y)**2 == (y - x)**2 exactly.
-    symmetric = b is a
+    # identical rows give an exact zero, and (x - y)**2 == (y - x)**2 exactly.
+    # einsum sums each length-M row in an order that depends only on M, so
+    # every block size gives the same bits.
     a = np.ascontiguousarray(a, dtype=np.float64)
-    b = a if symmetric else np.ascontiguousarray(b, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
     n, m = a.shape
     k = b.shape[0]
     out = np.empty((n, k), dtype=np.float64)
@@ -253,13 +251,11 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     buf = np.empty(rows * cols * m)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        for clo in range(lo if symmetric else 0, k, cols):
+        for clo in range(0, k, cols):
             chi = min(clo + cols, k)
             diff = buf[:(hi - lo) * (chi - clo) * m].reshape(hi - lo, chi - clo, m)
             np.subtract(a[lo:hi, None, :], b[None, clo:chi, :], out=diff)
             np.einsum("ijk,ijk->ij", diff, diff, out=out[lo:hi, clo:chi])
-    if symmetric:
-        np.copyto(out, out.T, where=np.tri(n, k=-1, dtype=bool))
     return out
 
 
@@ -345,20 +341,28 @@ def nearest_sq_dists(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return labels, mins
 
 
-def medoid_update(d2: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+def medoid_update(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Per cluster, the member with the least summed distance to the others.
 
-    Lowest index wins ties; an empty cluster gets -1.
+    ``x`` holds the points, one per row. Lowest index wins ties; an empty
+    cluster gets -1.
     """
-    d2 = np.ascontiguousarray(d2, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     k = int(k)
+    order = np.argsort(labels, kind="stable")  # members in ascending index order
+    sizes = np.bincount(labels, minlength=k)
+    starts = np.cumsum(sizes) - sizes
     med = np.full(k, -1, dtype=np.int64)
-    for j in range(k):
-        idx = np.flatnonzero(labels == j)
-        if idx.size == 0:
-            continue
-        costs = d2[np.ix_(idx, idx)].sum(axis=1)
+    med[sizes == 1] = order[starts[sizes == 1]]
+    for j in np.flatnonzero(sizes > 1):
+        idx = order[starts[j]:starts[j] + sizes[j]]
+        pts = x[idx]
+        # Whole rows per chunk keep each row sum in one order and the
+        # temporaries at about _BLOCK elements, whatever the cluster size.
+        step = max(1, _BLOCK // idx.size)
+        costs = np.concatenate([pairwise_sq_dists(pts[lo:lo + step], pts).sum(axis=1)
+                                for lo in range(0, idx.size, step)])
         med[j] = idx[np.argmin(costs)]
     return med
 

@@ -14,7 +14,10 @@ n_1 = N and n_{l+1} = min(n_l, K_l + 1); the +1 is the always-retained
 classification token. Downsampling a layer (K_l + 1 < n_l) adds clustering
 flops: T*K_l*n_l*M for k-means (assignment distances over T iterations) or
 n_l^2*M + T*K_l*n_l for k-medoids (one token-token distance matrix, then
-cached-distance assignments).
+cached-distance assignments). These terms price the paper's algorithms; the
+pooling code runs passes*K_l*n_l*M screening multiply-adds for the
+assignments of either method, plus sum_j |C_j|^2 * M per k-medoids update
+over its clusters C_j.
 """
 
 from __future__ import annotations
@@ -125,7 +128,8 @@ def clustering_flops(n_tokens: int, k: int, dim: int, method: str, max_iters: in
         return 0
     if method == "kmeans":
         return t * k * n * m
-    # kmedoids: full distance matrix once, cached-distance assignments after
+    # kmedoids as the paper prices it: full distance matrix once, then
+    # cached-distance assignments (the code screens instead; see the docstring)
     return n * n * m + t * k * n
 
 

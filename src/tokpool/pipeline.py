@@ -31,7 +31,6 @@ class LayerTrace:
     k_target: int | None
     loss: float | None
     iterations: int | None
-    input_tokens: TokenSet | None = None
 
     def to_json(self) -> dict:
         return {
@@ -53,7 +52,6 @@ def run_forward(
     pool_iters: int = 5,
     pool_seed: int = 0,
     protect_first: bool = True,
-    keep_inputs: bool = False,
 ) -> tuple[TokenSet, list[LayerTrace]]:
     if len(blocks) != config.layers:
         raise UsageError(f"got {len(blocks)} blocks for {config.layers} layers")
@@ -77,7 +75,6 @@ def run_forward(
     traces: list[LayerTrace] = []
     for layer in range(config.layers):
         n_in = cur.n_tokens
-        source = cur.copy() if keep_inputs else None
         out, detail = block_forward_detailed(cur, blocks[layer], mode=mode)
         k_target = config.schedule[layer] if config.schedule is not None else None
         loss = None
@@ -116,7 +113,6 @@ def run_forward(
                 k_target=k_target,
                 loss=loss,
                 iterations=iterations,
-                input_tokens=source,
             )
         )
     return cur, traces

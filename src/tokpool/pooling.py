@@ -7,13 +7,12 @@ minimizes the nearest-retained-token reconstruction error
     loss = sum_i w_i * min_j ||f_i - fhat_j||^2
 
 (w_i = 1 unless a weighted method is used). Determinism rules: every
-argmin/argmax tie resolves to the lowest index, and the k-medoids
-token-to-token distance matrix is computed exactly once per call, as an upper
-triangle that is then mirrored. Every nearest-center search (k-means
-assignment, empty-cluster repair, random/importance assignment, chamfer loss)
-goes through ``_kernels.nearest_sq_dists``: a BLAS screen whose surviving
-pairs are confirmed exactly by difference, so results do not depend on BLAS
-rounding or thread count.
+argmin/argmax tie resolves to the lowest index. Every nearest-center search
+(k-means and k-medoids assignment, empty-cluster repair, random/importance
+assignment, chamfer loss) goes through ``_kernels.nearest_sq_dists``: a BLAS
+screen whose surviving pairs are confirmed exactly by difference, so results
+do not depend on BLAS rounding or thread count. The medoid update sums exact
+distances within each cluster only; no token-to-token matrix is built.
 """
 
 from __future__ import annotations
@@ -123,22 +122,15 @@ def _lloyd(feats, obj_w, init_w, spec: PoolSpec):
     medoid = spec.method in _MEDOID
     init_idx = _init_indices(n, k, spec.init, init_w, spec.seed)
 
-    d2_all = kernels.pairwise_sq_dists(feats, feats) if medoid else None
     medoids = init_idx.astype(np.int64) if medoid else None
     centers = feats[init_idx].astype(np.float64, copy=True)
-
-    def assign(cur_centers):
-        if not medoid:
-            return kernels.nearest_sq_dists(feats, cur_centers)
-        return kernels.row_argmin(d2_all[:, medoids])
-
-    labels, errs = assign(centers)
+    labels, errs = kernels.nearest_sq_dists(feats, centers)
     prev = labels
     iterations = 0
     for step in range(spec.max_iters):
         occupied = np.bincount(labels, minlength=k) > 0
         if medoid:
-            new_med = kernels.medoid_update(d2_all, labels, k)
+            new_med = kernels.medoid_update(feats, labels, k)
             medoids[occupied] = new_med[occupied]
             centers = feats[medoids].astype(np.float64, copy=True)
             if not occupied.all():
@@ -150,7 +142,7 @@ def _lloyd(feats, obj_w, init_w, spec: PoolSpec):
             centers[occupied] = sums[occupied] / mass[occupied, None]
             if not occupied.all():
                 _repair_empty(centers, feats, occupied)
-        labels, errs = assign(centers)
+        labels, errs = kernels.nearest_sq_dists(feats, centers)
         iterations = step + 1
         if np.array_equal(labels, prev):
             break
@@ -159,14 +151,10 @@ def _lloyd(feats, obj_w, init_w, spec: PoolSpec):
     return labels, centers, medoids, iterations, loss
 
 
-def _result_counts(labels: np.ndarray, k: int, multiplicities: np.ndarray) -> np.ndarray:
-    return np.bincount(labels, weights=multiplicities, minlength=k)
-
-
 def _nearest_assignment(feats, centers, multiplicities):
     labels, mins = kernels.nearest_sq_dists(feats, centers)
     loss = float(mins.sum())
-    counts = _result_counts(labels, centers.shape[0], multiplicities)
+    counts = np.bincount(labels, weights=multiplicities, minlength=centers.shape[0])
     return labels, loss, counts
 
 
@@ -216,7 +204,7 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
         init_w = w_in if w_in is not None else np.ones(n_eff)
         obj_w = init_w if spec.method in _WEIGHTED else np.ones(n_eff)
         labels, centers, medoids, iterations, loss = _lloyd(feats, obj_w, init_w, spec)
-        counts = _result_counts(labels, spec.k, mult)
+        counts = np.bincount(labels, weights=mult, minlength=spec.k)
         result = ClusterResult(labels, centers, iterations, loss, counts, medoids)
         out_feats = centers
         sel = medoids  # None for means
@@ -318,14 +306,13 @@ def _grid_result(f: TokenSet, spec: PoolSpec | None):
     pooled = blocks.mean(axis=(1, 3)).reshape(-1, m)
 
     rows = np.concatenate([f.features[:offset], pooled], axis=0)
+    base = f.counts[offset:] if f.counts is not None else np.ones(h * w)
     if spec is not None and spec.emit_counts:
-        base = f.counts[offset:] if f.counts is not None else np.ones(h * w)
         counts = base.reshape(h // 2, 2, w // 2, 2).sum(axis=(1, 3)).reshape(-1)
         head = f.counts[:offset] if f.counts is not None else np.ones(offset)
         out_counts = np.concatenate([head, counts])
     else:
         out_counts = None
-        base = f.counts[offset:] if f.counts is not None else np.ones(h * w)
     out = TokenSet(rows, None, out_counts, (h // 2, w // 2))
 
     # structural assignment: each body token belongs to its 2x2 block

@@ -7,6 +7,7 @@ precision than the 2% gate resolves (see notes in the repo README); the
 assertions themselves are not loosened.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -284,9 +285,7 @@ class TestEndToEndPipeline:
         )
         blocks = synth_weights(config, 13)
         tokens = TokenSet(np.random.default_rng(12).normal(size=(50, 64)))
-        final, traces = run_forward(
-            tokens, blocks, config, pool_method="kmedoids", keep_inputs=True
-        )
+        final, traces = run_forward(tokens, blocks, config, pool_method="kmedoids")
 
         n = 50
         for trace in traces:
@@ -296,9 +295,14 @@ class TestEndToEndPipeline:
         assert final.n_tokens == 1
 
         for trace in traces:
-            out, detail = block_forward_detailed(
-                trace.input_tokens, blocks[trace.layer], mode=config.mode
-            )
+            # the input of layer l is the output of the first l layers
+            layer = trace.layer
+            layer_in = tokens
+            if layer > 0:
+                prefix = dataclasses.replace(config, layers=layer, schedule=schedule[:layer])
+                layer_in, _ = run_forward(tokens, blocks[:layer], prefix, pool_method="kmedoids")
+            assert layer_in.n_tokens == trace.tokens_in
+            out, detail = block_forward_detailed(layer_in, blocks[layer], mode=config.mode)
             assert np.isfinite(out.features).all()
             lo = detail.head_values.min(axis=1, keepdims=True)
             hi = detail.head_values.max(axis=1, keepdims=True)

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tokpool
 from tokpool import io as tpio
 from tokpool.cli import main
 from tokpool.numerics import Rng
@@ -358,11 +361,15 @@ class TestArgHandling:
         assert code == 1
 
     def test_module_entrypoint_subprocess(self, tmp_path):
+        # the child imports the same tokpool as this process, installed or not
+        src = str(Path(tokpool.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "tokpool", "cost", "--config", DEIT_S_CONFIG,
              "--format", "csv"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert result.returncode == 0
         assert result.stdout.startswith("layer,tokens,")

@@ -2,7 +2,8 @@
 
 ``nearest_sq_dists`` screens with a BLAS product and confirms by difference;
 its labels and distances must equal the argmin and min of the full matrix bit
-for bit. The half-filled self-distance matrix must equal the full one.
+for bit. The self-distance matrix must be exactly symmetric with a zero
+diagonal, and equal to the matrix against a copy of the same rows.
 """
 
 import tracemalloc

@@ -47,15 +47,14 @@ def test_medoid_update_matches_brute_force(seed):
             cost = sum(d2[i, t] for t in range(n) if labels[t] == j)
             if cost < best:
                 best, expected[j] = cost, i
-    np.testing.assert_array_equal(_kernels.medoid_update(d2, labels, k), expected)
+    np.testing.assert_array_equal(_kernels.medoid_update(pts, labels, k), expected)
 
 
 def test_medoid_update_lowest_index_tie_break():
     # two identical points in one cluster: the lower index must win
     pts = np.array([[0.0], [0.0], [5.0]])
     labels = np.array([0, 0, 1], dtype=np.int64)
-    d2 = _kernels.pairwise_sq_dists(pts, pts)
-    med = _kernels.medoid_update(d2, labels, 2)
+    med = _kernels.medoid_update(pts, labels, 2)
     assert med[0] == 0
     assert med[1] == 2
 
