@@ -1,4 +1,4 @@
-"""Hot numeric kernels: the random stream, distances and the medoid update.
+"""Hot numeric kernels: the random stream, distances, medoids and softmax.
 
 The random stream is xoshiro256** over four 64-bit words. It is produced in
 parallel lanes: the state transition is linear over GF(2), so lane starts are
@@ -17,7 +17,7 @@ screens with one BLAS product and confirms the surviving pairs by
 difference, so its labels and distances equal the argmin and min of the full
 matrix bit for bit, whatever BLAS rounding or threading does. The medoid
 update computes distances within each cluster only, a block of rows at a
-time.
+time. :func:`softmax` is the only softmax in the package.
 """
 
 from __future__ import annotations
@@ -365,6 +365,21 @@ def medoid_update(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
                                 for lo in range(0, idx.size, step)])
         med[j] = idx[np.argmin(costs)]
     return med
+
+
+def softmax(logits: np.ndarray, col_weight: np.ndarray | None = None) -> np.ndarray:
+    """Max-shifted softmax over the last axis, in place; returns ``logits``.
+
+    A column weight ``c`` gives ``c_j e_j / sum(c e)``. ``-inf`` logits give
+    zeros in rows with a finite max. In place, an ``(H, n, n)`` batch makes
+    no full-size temporaries, which would cost more than the batch saves.
+    """
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    if col_weight is not None:
+        logits *= col_weight
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def available_backends() -> tuple[str, ...]:

@@ -8,6 +8,8 @@ With ||q|| = ||k_i|| = 1,
 and the constant exp(alpha) cancels in the softmax normalization, so the two
 evaluation routes agree exactly up to floating-point rounding. Without the
 norm constraint they generally disagree, which the verifier demonstrates.
+Both routes use the block's softmax kernel. A seeded probe with n * max(n, m)
+above ``MAX_PROBE_ELEMENTS`` is a usage error, raised before any allocation.
 """
 
 from __future__ import annotations
@@ -23,19 +25,21 @@ from .numerics import Rng, as_matrix
 
 NORM_TOL = 1e-9
 
-
-def _softmax_weighted(logits: np.ndarray, values: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return (e / e.sum(axis=1, keepdims=True)) @ values
+# Largest n x max(n, m) probe array: 2 GiB of float64; each route holds a few.
+MAX_PROBE_ELEMENTS = 2 ** 28
 
 
+# At large alpha, logits and their max-shifted values overflow to -inf on
+# purpose: those weights are exact zeros, so the overflow warnings are noise.
 def _attention_on(queries, keys, values, alpha) -> np.ndarray:
-    return _softmax_weighted(alpha * (queries @ keys.T), values)
+    with np.errstate(over="ignore"):
+        return _kernels.softmax(alpha * (queries @ keys.T)) @ values
 
 
 def _filter_on(queries, keys, values, alpha) -> np.ndarray:
     d2 = _kernels.pairwise_sq_dists(queries, keys)
-    return _softmax_weighted(-(alpha / 2.0) * d2, values)
+    with np.errstate(over="ignore"):
+        return _kernels.softmax(-(alpha / 2.0) * d2) @ values
 
 
 @dataclass
@@ -75,6 +79,8 @@ class FilterProbe:
 def _random_probe_arrays(n: int, m: int, seed: int, unit_norm: bool):
     if n < 1 or m < 1:
         raise UsageError("n and m must be >= 1")
+    if n * max(n, m) > MAX_PROBE_ELEMENTS:
+        raise UsageError(f"probe n*max(n, m) exceeds {MAX_PROBE_ELEMENTS} elements")
     rng = Rng(seed)
     q = rng.normal((n, m))
     k = rng.normal((n, m))

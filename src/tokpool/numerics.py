@@ -41,11 +41,9 @@ def as_matrix(x, name: str = "matrix", require_finite: bool = True) -> np.ndarra
 
 
 def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction for stability."""
-    m = as_matrix(m, "softmax input")
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax with per-row max subtraction; ``m`` is left unchanged."""
+    # as_matrix may return the caller's own array; the kernel works in place
+    return kernels.softmax(as_matrix(m, "softmax input").copy())
 
 
 def pairwise_sq_dists(a, b) -> np.ndarray:

@@ -208,18 +208,9 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
         result = ClusterResult(labels, centers, iterations, loss, counts, medoids)
         out_feats = centers
         sel = medoids  # None for means
-    elif spec.method == "random":
-        rng = Rng(spec.seed)
-        sel = np.sort(sample_without_replacement(rng, n_eff, spec.k))
-        out_feats = feats[sel]
-        labels, loss, counts = _nearest_assignment(feats, out_feats, mult)
-        result = ClusterResult(labels, out_feats.copy(), 0, loss, counts, sel.astype(np.int64))
-    else:  # importance
-        scores = w_in
-        if scores.sum() <= 0:
-            raise DataError("importance scores sum to zero")
-        rng = Rng(spec.seed)
-        sel = np.sort(sample_without_replacement(rng, n_eff, spec.k, scores))
+    else:  # random or importance: uniform or weight-proportional sampling
+        probs = w_in if spec.method == "importance" else None
+        sel = np.sort(sample_without_replacement(Rng(spec.seed), n_eff, spec.k, probs))
         out_feats = feats[sel]
         labels, loss, counts = _nearest_assignment(feats, out_feats, mult)
         result = ClusterResult(labels, out_feats.copy(), 0, loss, counts, sel.astype(np.int64))

@@ -2,10 +2,13 @@
 
 Blocks are pre-norm with residual connections (the usual DeiT layout);
 ``norm_and_skip=False`` evaluates the bare MLP(MSA(x)) composition instead,
-which is what the unit oracles check. Attention modes:
+which is what the unit oracles check. Attention runs all H heads as one
+``(H, N, N)`` batch through ``_kernels.softmax``, with the same bits as one
+head at a time. Attention modes:
 
 ``standard``          logits = Q K^T / sqrt(d)
-``normalized_alpha``  rows of Q and K scaled to unit L2 norm, logits = alpha * Q K^T
+``normalized_alpha``  rows of Q and K scaled to unit L2 norm, logits = alpha * Q K^T;
+                      a zero query or key row is a DataError
 ``carry``             softmax numerator and denominator of key i scaled by count c_i
 """
 
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels as kernels
 from .costmodel import MODES, ModelConfig
 from .errors import DataError, UsageError
 from .numerics import Rng, as_matrix
@@ -123,7 +127,7 @@ class BlockWeights:
 
 @dataclass
 class BlockDetail:
-    """Intermediate quantities of one block evaluation."""
+    """Intermediate quantities of one block evaluation, heads on the first axis."""
 
     maps: np.ndarray          # (H, N, N) row-stochastic attention weights
     head_values: np.ndarray   # (H, N, d) per-head value projections
@@ -159,47 +163,41 @@ def _check_mode(tokens: TokenSet, w: BlockWeights, mode: str) -> None:
 
 
 def _msa_detail(features: np.ndarray, counts, w: BlockWeights, mode: str):
-    n = features.shape[0]
+    """All heads as one ``(H, ...)`` batch: the projected output and the detail."""
     h, _, d = w.wq.shape
-    maps = np.empty((h, n, n))
-    values = np.empty((h, n, d))
-    head_out = np.empty((h, n, d))
-    for i in range(h):
-        q = features @ w.wq[i]
-        k = features @ w.wk[i]
-        v = features @ w.wv[i]
-        if mode == "normalized_alpha":
-            alpha = 1.0 if w.alpha is None else float(w.alpha)
-            qn = np.linalg.norm(q, axis=1, keepdims=True)
-            kn = np.linalg.norm(k, axis=1, keepdims=True)
-            if (qn == 0).any() or (kn == 0).any():
-                raise DataError("cannot normalize a zero query/key row")
-            logits = alpha * ((q / qn) @ (k / kn).T)
-        else:
-            logits = (q @ k.T) / np.sqrt(d)
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        if mode == "carry":
-            e = e * counts[None, :]
-        a = e / e.sum(axis=1, keepdims=True)
-        maps[i] = a
-        values[i] = v
-        head_out[i] = a @ v
-    return maps, values, head_out
+    # One BLAS product per head, with the operands a per-head loop would use,
+    # so the batch reproduces the loop bit for bit.
+    q, k = features @ w.wq, features @ w.wk
+    if mode == "normalized_alpha":
+        qn = np.linalg.norm(q, axis=2, keepdims=True)
+        kn = np.linalg.norm(k, axis=2, keepdims=True)
+        if (qn == 0).any() or (kn == 0).any():
+            raise DataError("cannot normalize a zero query/key row")
+        logits = (q / qn) @ (k / kn).transpose(0, 2, 1)
+        logits *= 1.0 if w.alpha is None else float(w.alpha)
+    else:
+        logits = q @ k.transpose(0, 2, 1)
+        logits /= np.sqrt(d)
+    del q, k  # before the value products, so peak memory stays at the loop's
+    maps = kernels.softmax(logits, counts if mode == "carry" else None)
+    v = features @ w.wv
+    head_out = maps @ v
+    joined = head_out.transpose(1, 0, 2).reshape(features.shape[0], h * d)
+    return joined @ w.wo, BlockDetail(maps=maps, head_values=v, head_outputs=head_out)
 
 
 def msa_forward(tokens: TokenSet, w: BlockWeights, mode: str = "standard") -> TokenSet:
     """Multi-head self-attention; token count is unchanged."""
     _check_mode(tokens, w, mode)
-    _, _, head_out = _msa_detail(tokens.features, tokens.counts, w, mode)
-    concat = np.concatenate(list(head_out), axis=1)
-    return TokenSet(concat @ w.wo, tokens.weights, tokens.counts, tokens.grid)
+    out, _ = _msa_detail(tokens.features, tokens.counts, w, mode)
+    return TokenSet(out, tokens.weights, tokens.counts, tokens.grid)
 
 
 def attention_maps(tokens: TokenSet, w: BlockWeights, mode: str = "standard") -> np.ndarray:
     """The H row-stochastic NxN attention matrices msa_forward uses."""
     _check_mode(tokens, w, mode)
-    maps, _, _ = _msa_detail(tokens.features, tokens.counts, w, mode)
-    return maps
+    _, detail = _msa_detail(tokens.features, tokens.counts, w, mode)
+    return detail.maps
 
 
 def block_forward_detailed(
@@ -211,17 +209,13 @@ def block_forward_detailed(
     """One transformer block, also returning attention internals."""
     _check_mode(tokens, w, mode)
     x = tokens.features
+    msa, detail = _msa_detail(layer_norm(x) if norm_and_skip else x, tokens.counts, w, mode)
     if norm_and_skip:
-        maps, values, head_out = _msa_detail(layer_norm(x), tokens.counts, w, mode)
-        x = x + np.concatenate(list(head_out), axis=1) @ w.wo
-        hidden = gelu(layer_norm(x) @ w.mlp1)
-        x = x + hidden @ w.mlp2
+        x = np.add(x, msa, out=msa)  # in msa's buffer: no extra (N, M) array in the MLP
+        x = x + gelu(layer_norm(x) @ w.mlp1) @ w.mlp2
     else:
-        maps, values, head_out = _msa_detail(x, tokens.counts, w, mode)
-        msa = np.concatenate(list(head_out), axis=1) @ w.wo
         x = gelu(msa @ w.mlp1) @ w.mlp2
-    out = TokenSet(x, tokens.weights, tokens.counts, tokens.grid)
-    return out, BlockDetail(maps=maps, head_values=values, head_outputs=head_out)
+    return TokenSet(x, tokens.weights, tokens.counts, tokens.grid), detail
 
 
 def block_forward(

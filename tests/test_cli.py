@@ -350,6 +350,15 @@ class TestVerifyFilter:
         assert code == 1 and out == ""
         assert f"{flag[2:]} must be finite and positive" in err
 
+    def test_oversized_probe_is_usage_error(self, capsys):
+        # n=1e6 asks for 7.28 TiB per n x n array; it must fail before allocating
+        code, out, err = run_cli(
+            capsys, "verify-filter", "--n", "1000000", "--m", "1",
+            "--alpha", "3", "--seed", "7",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:")
+
 
 class TestArgHandling:
     def test_unknown_flag_is_usage_error(self, capsys):

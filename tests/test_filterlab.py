@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from tokpool import filterlab
+from tokpool import _kernels, filterlab
 from tokpool.errors import DataError, UsageError
 from tokpool.filterlab import FilterProbe, attention_form, filter_form, verify_equivalence
 
@@ -146,7 +147,7 @@ class TestFilterDistances:
         )
         diff = p.queries[:, None, :] - p.keys[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        expected = filterlab._softmax_weighted(-(p.alpha / 2.0) * d2, p.values)
+        expected = _kernels.softmax(-(p.alpha / 2.0) * d2) @ p.values
         np.testing.assert_array_equal(filter_form(p), expected)
 
     def test_verify_memory_is_quadratic_not_cubic(self):
@@ -160,3 +161,29 @@ class TestFilterDistances:
         finally:
             tracemalloc.stop()
         assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestProbeLimits:
+    def test_oversized_probe_raises_before_drawing(self, monkeypatch):
+        # A missing guard would draw and allocate gigabytes; fail at the draw.
+        def no_draws(seed):
+            raise AssertionError("an oversized probe reached the generator")
+
+        monkeypatch.setattr(filterlab, "Rng", no_draws)
+        n = math.isqrt(filterlab.MAX_PROBE_ELEMENTS) + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(UsageError, match="exceeds"):
+                verify_equivalence(n, 1, 2.0, seed=1)
+            with pytest.raises(UsageError, match="exceeds"):
+                FilterProbe.random(2, filterlab.MAX_PROBE_ELEMENTS // 2 + 1, 2.0, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_largest_alpha_overflows_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_equivalence(1000, 8, 1e308, seed=9)
+        assert report.passed

@@ -44,6 +44,13 @@ class TestSoftmaxRows:
             sums = softmax_rows(m).sum(axis=1)
             np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
 
+    def test_leaves_input_unchanged(self):
+        m = np.random.default_rng(2).normal(size=(5, 7))
+        before = m.copy()
+        out = softmax_rows(m)
+        np.testing.assert_array_equal(m, before)
+        assert not np.shares_memory(out, m)
+
     def test_rejects_non_finite(self):
         with pytest.raises(DataError):
             softmax_rows([[0.0, np.nan]])
