@@ -6,13 +6,22 @@ minimizes the nearest-retained-token reconstruction error
 
     loss = sum_i w_i * min_j ||f_i - fhat_j||^2
 
-(w_i = 1 unless a weighted method is used). Determinism rules: every
-argmin/argmax tie resolves to the lowest index. Every nearest-center search
-(k-means and k-medoids assignment, empty-cluster repair, random/importance
-assignment, chamfer loss) goes through ``_kernels.nearest_sq_dists``: a BLAS
-screen whose surviving pairs are confirmed exactly by difference, so results
-do not depend on BLAS rounding or thread count. The medoid update sums exact
-distances within each cluster only; no token-to-token matrix is built.
+(w_i = 1 unless a weighted method is used).
+
+Random and importance selection and random initialization share one sorted
+Plackett-Luce draw, ``_draw``. ``token_pool`` assembles every method's output
+the same way: the protected token, then the K centers; with ``emit_counts``,
+each center's count is the summed multiplicity of its cluster. Only the
+sampling methods carry weights, their survivors' own. ``random_select`` and
+``importance_select`` keep each survivor's own weight and count.
+
+Determinism rules: every argmin/argmax tie resolves to the lowest index.
+Every nearest-center search (k-means and k-medoids assignment, empty-cluster
+repair, random/importance assignment, chamfer loss) goes through
+``_kernels.nearest_sq_dists``: a BLAS screen whose surviving pairs are
+confirmed exactly by difference, so results do not depend on BLAS rounding
+or thread count. The medoid update sums exact distances within each cluster
+only; no token-to-token matrix is built.
 """
 
 from __future__ import annotations
@@ -87,14 +96,16 @@ def chamfer_loss(f, fhat, weights=None) -> float:
     return float((weights * mins).sum())
 
 
+def _draw(n: int, k: int, seed: int, probs=None) -> np.ndarray:
+    """``k`` sorted distinct indices from ``range(n)``, drawn Plackett-Luce."""
+    return np.sort(sample_without_replacement(Rng(seed), n, k, probs))
+
+
 def _init_indices(n: int, k: int, init: str, init_weights: np.ndarray, seed: int) -> np.ndarray:
-    if init == "topk_weight":
-        # stable sort: equal weights keep ascending token order
-        order = np.argsort(-init_weights, kind="stable")
-        chosen = order[:k]
-    else:
-        chosen = sample_without_replacement(Rng(seed), n, k)
-    return np.sort(chosen)
+    if init == "random":
+        return _draw(n, k, seed)
+    # stable sort: equal weights keep ascending token order
+    return np.sort(np.argsort(-init_weights, kind="stable")[:k])
 
 
 def _repair_empty(centers, feats, occupied, medoids=None):
@@ -151,26 +162,6 @@ def _lloyd(feats, obj_w, init_w, spec: PoolSpec):
     return labels, centers, medoids, iterations, loss
 
 
-def _nearest_assignment(feats, centers, multiplicities):
-    labels, mins = kernels.nearest_sq_dists(feats, centers)
-    loss = float(mins.sum())
-    counts = np.bincount(labels, weights=multiplicities, minlength=centers.shape[0])
-    return labels, loss, counts
-
-
-def _identity_result(feats, multiplicities, medoid: bool) -> ClusterResult:
-    n = feats.shape[0]
-    idx = np.arange(n, dtype=np.int64)
-    return ClusterResult(
-        assignment=idx.copy(),
-        centers=feats.copy(),
-        iterations=0,
-        loss=0.0,
-        counts=multiplicities.copy(),
-        medoid_indices=idx.copy() if medoid else None,
-    )
-
-
 def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
     """Downsample a token set; returns the pooled set and the cluster record.
 
@@ -184,61 +175,64 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
     if spec.method == "importance" and f.weights is None:
         raise UsageError("importance selection requires token weights (scores)")
     if spec.method == "grid":
-        return _grid_result(f, spec)
+        return _grid_result(f, spec.emit_counts)
 
     offset = 1 if spec.protect_first else 0
-    if spec.protect_first and f.n_tokens < 2:
-        # only the protected token exists; nothing to cluster
-        return f.copy(), _identity_result(
-            f.features[1:], np.ones(0), spec.method in _MEDOID
-        )
     feats = np.ascontiguousarray(f.features[offset:])
     n_eff = feats.shape[0]
-    mult = (f.counts[offset:] if f.counts is not None else np.ones(n_eff)).copy()
+    mult = f.counts[offset:] if f.counts is not None else np.ones(n_eff)
     w_in = f.weights[offset:] if f.weights is not None else None
 
     if spec.k >= n_eff:
-        return f.copy(), _identity_result(feats, mult, spec.method in _MEDOID)
+        idx = np.arange(n_eff, dtype=np.int64)
+        medoids = idx.copy() if spec.method in _MEDOID else None
+        return f.copy(), ClusterResult(idx, feats.copy(), 0, 0.0, mult.copy(), medoids)
 
+    out_w = None
     if spec.method in _CLUSTERING:
         init_w = w_in if w_in is not None else np.ones(n_eff)
         obj_w = init_w if spec.method in _WEIGHTED else np.ones(n_eff)
         labels, centers, medoids, iterations, loss = _lloyd(feats, obj_w, init_w, spec)
-        counts = np.bincount(labels, weights=mult, minlength=spec.k)
-        result = ClusterResult(labels, centers, iterations, loss, counts, medoids)
-        out_feats = centers
-        sel = medoids  # None for means
     else:  # random or importance: uniform or weight-proportional sampling
-        probs = w_in if spec.method == "importance" else None
-        sel = np.sort(sample_without_replacement(Rng(spec.seed), n_eff, spec.k, probs))
-        out_feats = feats[sel]
-        labels, loss, counts = _nearest_assignment(feats, out_feats, mult)
-        result = ClusterResult(labels, out_feats.copy(), 0, loss, counts, sel.astype(np.int64))
+        medoids = _draw(n_eff, spec.k, spec.seed, w_in if spec.method == "importance" else None)
+        centers = feats[medoids]
+        labels, mins = kernels.nearest_sq_dists(feats, centers)
+        iterations, loss = 0, float(mins.sum())
+        if w_in is not None:
+            out_w = np.concatenate([f.weights[:offset], w_in[medoids]])
+    counts = np.bincount(labels, weights=mult, minlength=spec.k)
+    result = ClusterResult(labels, centers, iterations, loss, counts, medoids)
 
-    pooled = _assemble(f, out_feats, result.counts, sel, spec, offset)
-    return pooled, result
-
-
-def _assemble(f, out_feats, counts, sel, spec, offset) -> TokenSet:
-    rows = [f.features[:offset], out_feats]
-    features = np.concatenate(rows, axis=0)
     out_counts = None
     if spec.emit_counts:
         head = f.counts[:offset] if f.counts is not None else np.ones(offset)
         out_counts = np.concatenate([head, counts])
-    out_weights = None
-    if sel is not None and f.weights is not None and spec.method in ("random", "importance"):
-        head_w = f.weights[:offset]
-        out_weights = np.concatenate([head_w, f.weights[offset:][sel]])
-    return TokenSet(features, out_weights, out_counts, None)
+    features = np.concatenate([f.features[:offset], centers], axis=0)
+    return TokenSet(features, out_w, out_counts, None), result
+
+
+def _select(f: TokenSet, k: int, seed: int, probs, protect_first: bool) -> TokenSet:
+    """The protected token plus ``k`` drawn survivors, each with its own data."""
+    if k < 1:
+        raise UsageError("k must be >= 1")
+    offset = 1 if protect_first else 0
+    limit = f.n_tokens - offset
+    if k > limit:
+        raise UsageError(f"cannot select {k} of {limit} selectable tokens")
+    if k == limit:
+        return f.copy()
+    keep = np.concatenate([np.arange(offset), offset + _draw(limit, k, seed, probs)])
+    return TokenSet(
+        f.features[keep],
+        f.weights[keep] if f.weights is not None else None,
+        f.counts[keep] if f.counts is not None else None,
+        None,
+    )
 
 
 def random_select(f: TokenSet, k: int, seed: int, protect_first: bool = True) -> TokenSet:
     """Uniform selection without replacement; survivor order is preserved."""
-    spec = PoolSpec(method="random", k=k, seed=seed, protect_first=protect_first)
-    _check_select_k(f, k, protect_first)
-    out, _ = token_pool(f, spec)
-    return out
+    return _select(f, k, seed, None, protect_first)
 
 
 def importance_select(
@@ -253,38 +247,17 @@ def importance_select(
     offset = 1 if protect_first else 0
     if scores[offset:].sum() <= 0:
         raise DataError("scores sum to zero")
-    _check_select_k(f, k, protect_first)
-    # weights must be positive in a TokenSet; route scores directly instead
-    feats = f.features[offset:]
-    if k >= feats.shape[0]:
-        return f.copy()
-    rng = Rng(seed)
-    sel = np.sort(sample_without_replacement(rng, feats.shape[0], k, scores[offset:]))
-    rows = np.concatenate([f.features[:offset], feats[sel]], axis=0)
-    counts = None
-    if f.counts is not None:
-        counts = np.concatenate([f.counts[:offset], f.counts[offset:][sel]])
-    weights = None
-    if f.weights is not None:
-        weights = np.concatenate([f.weights[:offset], f.weights[offset:][sel]])
-    return TokenSet(rows, weights, counts, None)
-
-
-def _check_select_k(f: TokenSet, k: int, protect_first: bool) -> None:
-    if k < 1:
-        raise UsageError("k must be >= 1")
-    limit = f.n_tokens - (1 if protect_first else 0)
-    if k > limit:
-        raise UsageError(f"cannot select {k} of {limit} selectable tokens")
+    # zero scores cannot be TokenSet weights, so they go to the draw directly
+    return _select(f, k, seed, scores[offset:], protect_first)
 
 
 def grid_pool(f: TokenSet) -> TokenSet:
     """Mean-pool non-overlapping 2x2 grid patches; grid dims halve."""
-    out, _ = _grid_result(f, None)
+    out, _ = _grid_result(f, False)
     return out
 
 
-def _grid_result(f: TokenSet, spec: PoolSpec | None):
+def _grid_result(f: TokenSet, emit_counts: bool):
     if f.grid is None:
         raise UsageError("grid pooling requires a token grid")
     h, w = f.grid
@@ -298,7 +271,7 @@ def _grid_result(f: TokenSet, spec: PoolSpec | None):
 
     rows = np.concatenate([f.features[:offset], pooled], axis=0)
     base = f.counts[offset:] if f.counts is not None else np.ones(h * w)
-    if spec is not None and spec.emit_counts:
+    if emit_counts:
         counts = base.reshape(h // 2, 2, w // 2, 2).sum(axis=(1, 3)).reshape(-1)
         head = f.counts[:offset] if f.counts is not None else np.ones(offset)
         out_counts = np.concatenate([head, counts])
