@@ -341,10 +341,11 @@ def nearest_sq_dists(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return labels, mins
 
 
-def medoid_update(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+def medoid_update(x: np.ndarray, labels: np.ndarray, k: int, weights=None) -> np.ndarray:
     """Per cluster, the member with the least summed distance to the others.
 
-    ``x`` holds the points, one per row. Lowest index wins ties; an empty
+    ``x`` holds the points, one per row. With ``weights``, each distance to
+    member ``j`` counts ``weights[j]`` times. Lowest index wins ties; an empty
     cluster gets -1.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -358,10 +359,11 @@ def medoid_update(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     for j in np.flatnonzero(sizes > 1):
         idx = order[starts[j]:starts[j] + sizes[j]]
         pts = x[idx]
+        w = 1.0 if weights is None else weights[idx]
         # Whole rows per chunk keep each row sum in one order and the
         # temporaries at about _BLOCK elements, whatever the cluster size.
         step = max(1, _BLOCK // idx.size)
-        costs = np.concatenate([pairwise_sq_dists(pts[lo:lo + step], pts).sum(axis=1)
+        costs = np.concatenate([(pairwise_sq_dists(pts[lo:lo + step], pts) * w).sum(axis=1)
                                 for lo in range(0, idx.size, step)])
         med[j] = idx[np.argmin(costs)]
     return med

@@ -304,7 +304,7 @@ def _cmd_forward(args) -> int:
         tokens,
         blocks,
         config,
-        pool_method=args.pool_method if config.schedule is not None else None,
+        pool_method=args.pool_method,
         pool_init="topk_weight" if args.pool_init == "topk" else "random",
         pool_iters=args.pool_iters,
         pool_seed=0 if args.seed is None else args.seed,
@@ -313,16 +313,9 @@ def _cmd_forward(args) -> int:
     tpio.write_matrix(args.out, final.features)
     if args.trace:
         if args.trace.endswith(".csv"):  # plotting-friendly flat form
-            lines = ["layer,tokens_in,tokens_out,k_target,loss,iterations"]
+            lines = [",".join(field.name for field in dataclasses.fields(pipeline.LayerTrace))]
             for t in traces:
-                row = t.to_json()
-                lines.append(
-                    ",".join(
-                        "" if row[k] is None else str(row[k])
-                        for k in ("layer", "tokens_in", "tokens_out", "k_target",
-                                  "loss", "iterations")
-                    )
-                )
+                lines.append(",".join("" if v is None else str(v) for v in dataclasses.astuple(t)))
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
         else:
@@ -330,7 +323,7 @@ def _cmd_forward(args) -> int:
                 "mode": config.mode,
                 "pool_method": args.pool_method if config.schedule is not None else None,
                 "final_tokens": final.n_tokens,
-                "layers": [t.to_json() for t in traces],
+                "layers": [dataclasses.asdict(t) for t in traces],
             }
             with open(args.trace, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, indent=2)

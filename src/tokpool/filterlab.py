@@ -38,6 +38,9 @@ def _attention_on(queries, keys, values, alpha) -> np.ndarray:
 
 def _filter_on(queries, keys, values, alpha) -> np.ndarray:
     d2 = _kernels.pairwise_sq_dists(queries, keys)
+    # A per-row shift leaves the softmax unchanged; shifting by the row's
+    # least distance gives its nearest key logit 0, so no row is all -inf.
+    d2 -= d2.min(axis=1, keepdims=True)
     with np.errstate(over="ignore"):
         return _kernels.softmax(-(alpha / 2.0) * d2) @ values
 

@@ -30,12 +30,12 @@ __all__ = [
 ]
 
 
-def as_matrix(x, name: str = "matrix", require_finite: bool = True) -> np.ndarray:
+def as_matrix(x, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float64 array, rejecting non-finite entries."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise UsageError(f"{name} must be 2-D, got shape {arr.shape}")
-    if require_finite and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise DataError(f"{name} contains non-finite entries")
     return arr
 

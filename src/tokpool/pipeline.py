@@ -32,16 +32,6 @@ class LayerTrace:
     loss: float | None
     iterations: int | None
 
-    def to_json(self) -> dict:
-        return {
-            "layer": self.layer,
-            "tokens_in": self.tokens_in,
-            "tokens_out": self.tokens_out,
-            "k_target": self.k_target,
-            "loss": self.loss,
-            "iterations": self.iterations,
-        }
-
 
 def run_forward(
     tokens: TokenSet,

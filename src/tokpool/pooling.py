@@ -20,8 +20,9 @@ Every nearest-center search (k-means and k-medoids assignment, empty-cluster
 repair, random/importance assignment, chamfer loss) goes through
 ``_kernels.nearest_sq_dists``: a BLAS screen whose surviving pairs are
 confirmed exactly by difference, so results do not depend on BLAS rounding
-or thread count. The medoid update sums exact distances within each cluster
-only; no token-to-token matrix is built.
+or thread count. The medoid update sums exact distances, each weighted by the
+objective weight of its far end, within each cluster only; no token-to-token
+matrix is built.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def _lloyd(feats, obj_w, init_w, spec: PoolSpec):
     for step in range(spec.max_iters):
         occupied = np.bincount(labels, minlength=k) > 0
         if medoid:
-            new_med = kernels.medoid_update(feats, labels, k)
+            new_med = kernels.medoid_update(feats, labels, k, obj_w)
             medoids[occupied] = new_med[occupied]
             centers = feats[medoids].astype(np.float64, copy=True)
             if not occupied.all():

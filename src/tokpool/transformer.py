@@ -134,17 +134,12 @@ class BlockDetail:
     head_outputs: np.ndarray  # (H, N, d) per-head attention outputs A_h V_h
 
 
-def layer_norm(x: np.ndarray, scale=None, shift=None, eps: float = LN_EPS) -> np.ndarray:
-    """Per-token normalization; scale/shift default to 1/0."""
+def layer_norm(x: np.ndarray) -> np.ndarray:
+    """Per-token normalization to zero mean and unit variance."""
     x = np.asarray(x, dtype=np.float64)
     mean = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)
-    out = (x - mean) / np.sqrt(var + eps)
-    if scale is not None:
-        out = out * np.asarray(scale, dtype=np.float64)
-    if shift is not None:
-        out = out + np.asarray(shift, dtype=np.float64)
-    return out
+    return (x - mean) / np.sqrt(var + LN_EPS)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:

@@ -350,6 +350,22 @@ class TestVerifyFilter:
         assert code == 1 and out == ""
         assert f"{flag[2:]} must be finite and positive" in err
 
+    def test_all_logits_overflowing_is_no_counterexample(self):
+        # at alpha 1e308 every filter-route logit overflows to -inf unless the
+        # distances are shifted first; unshifted, the softmax returned NaN
+        src = str(Path(tokpool.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "tokpool", "verify-filter", "--n", "1", "--m", "2",
+             "--alpha", "1e308", "--seed", "6"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert result.returncode == 0
+        assert "pass=true" in result.stdout
+        assert result.stderr == ""
+
     def test_oversized_probe_is_usage_error(self, capsys):
         # n=1e6 asks for 7.28 TiB per n x n array; it must fail before allocating
         code, out, err = run_cli(

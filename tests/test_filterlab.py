@@ -147,6 +147,7 @@ class TestFilterDistances:
         )
         diff = p.queries[:, None, :] - p.keys[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        d2 -= d2.min(axis=1, keepdims=True)
         expected = _kernels.softmax(-(p.alpha / 2.0) * d2) @ p.values
         np.testing.assert_array_equal(filter_form(p), expected)
 

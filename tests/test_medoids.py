@@ -3,8 +3,9 @@
 ``token_pool`` assigns k-medoids through the screened nearest-center search
 and updates medoids from within-cluster distances only. The reference below
 is the earlier algorithm: one token-to-token matrix per call, assignment by
-gathering its medoid columns, and a per-cluster scan of that matrix for the
-update. Both must give the same bits.
+gathering its medoid columns, and a per-cluster scan of that matrix, each
+column weighted by the objective weights, for the update. Both must give the
+same bits.
 """
 
 import tracemalloc
@@ -46,7 +47,7 @@ def reference_kmedoids(f, spec):
         occupied = np.bincount(labels, minlength=k) > 0
         for j in np.flatnonzero(occupied):
             idx = np.flatnonzero(labels == j)
-            medoids[j] = idx[np.argmin(d2[np.ix_(idx, idx)].sum(axis=1))]
+            medoids[j] = idx[np.argmin((d2[np.ix_(idx, idx)] * obj_w[idx]).sum(axis=1))]
         if not occupied.all():
             worst = d2[:, medoids[occupied]].min(axis=1)
             for j in np.flatnonzero(~occupied):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokpool.errors import DataError, UsageError
 from tokpool.pooling import (
@@ -244,6 +246,37 @@ class TestWeightedVariants:
         )
 
 
+@st.composite
+def lloyd_cases(draw):
+    """Random tokens (integer-valued ones give ties and deserted clusters),
+    positive weights, and a spec for one of the four clustering methods."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    protect = draw(st.booleans())
+    n = draw(st.integers(3, 40)) + protect
+    feats = rng.normal(size=(n, draw(st.integers(1, 4))))
+    if draw(st.booleans()):
+        feats = np.round(2 * feats)
+    method = draw(st.sampled_from(["kmeans", "wkmeans", "kmedoids", "wkmedoids"]))
+    weights = None
+    if method.startswith("w") or draw(st.booleans()):
+        weights = rng.uniform(0.1, 3.0, size=n)
+    spec = dict(method=method, k=draw(st.integers(1, min(5, n - protect - 1))),
+                init=draw(st.sampled_from(["topk_weight", "random"])),
+                seed=draw(st.integers(0, 2 ** 32)), protect_first=protect)
+    return TokenSet(feats, weights), spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(lloyd_cases())
+def test_loss_non_increasing_in_iterations(case):
+    # each extra Lloyd step either stops at a fixed point or lowers the
+    # (weighted) objective the result reports
+    f, spec = case
+    losses = [token_pool(f, PoolSpec(max_iters=t, **spec))[1].loss for t in range(1, 8)]
+    for a, b in zip(losses, losses[1:]):
+        assert b <= a + 1e-12 * max(1.0, a)
+
+
 class TestInitAndDeterminism:
     def test_topk_init_uses_weights(self):
         pts = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -351,6 +384,23 @@ class TestRandomSelect:
             counts[int(out.features[0, 0])] += 1
         sigma = np.sqrt(20_000 * 0.25 * 0.75)
         assert (np.abs(counts - 5_000) < 4 * sigma).all()
+
+    @pytest.mark.parametrize("protect", [False, True])
+    def test_same_draw_as_uniform_importance(self, protect):
+        # both selectors take one sorted draw; survivors keep their own data
+        rng = np.random.default_rng(16)
+        for seed in range(20):
+            n = int(rng.integers(3, 12))
+            f = TokenSet(np.arange(n, dtype=float).reshape(-1, 1),
+                         rng.uniform(0.5, 2.0, n), rng.integers(1, 5, n).astype(float))
+            k = int(rng.integers(1, n - protect))
+            a = random_select(f, k, seed=seed, protect_first=protect)
+            b = importance_select(f, np.ones(n), k, seed=seed, protect_first=protect)
+            for field in ("features", "weights", "counts"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+            kept = a.features[:, 0].astype(int)
+            np.testing.assert_array_equal(a.counts, f.counts[kept])
+            np.testing.assert_array_equal(a.weights, f.weights[kept])
 
     def test_k_too_large(self):
         f = TokenSet(np.ones((3, 2)))
