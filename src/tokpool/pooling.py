@@ -195,7 +195,8 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
         obj_w = init_w if spec.method in _WEIGHTED else np.ones(n_eff)
         labels, centers, medoids, iterations, loss = _lloyd(feats, obj_w, init_w, spec)
     else:  # random or importance: uniform or weight-proportional sampling
-        medoids = _draw(n_eff, spec.k, spec.seed, w_in if spec.method == "importance" else None)
+        probs = w_in if spec.method == "importance" else None
+        medoids = _draw(n_eff, spec.k, spec.seed, probs)
         centers = feats[medoids]
         labels, mins = kernels.nearest_sq_dists(feats, centers)
         iterations, loss = 0, float(mins.sum())
