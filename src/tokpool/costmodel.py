@@ -22,10 +22,9 @@ over its clusters C_j.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, check_finite_positive
 
 CATEGORIES = ("attention", "qkv", "oproj", "mlp", "clustering")
 CLUSTER_METHODS = ("kmeans", "kmedoids")
@@ -62,8 +61,8 @@ class ModelConfig:
                 raise UsageError("schedule entries must be >= 0")
         if self.mode not in MODES:
             raise UsageError(f"unknown mode {self.mode!r}")
-        if self.alpha is not None and not 0 < self.alpha <= sys.float_info.max:
-            raise UsageError("alpha must be finite and positive")
+        if self.alpha is not None:
+            check_finite_positive(self.alpha, "alpha")
 
     @property
     def head_dim(self) -> int:

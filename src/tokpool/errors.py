@@ -1,4 +1,7 @@
-"""Exception types; the CLI maps them onto exit codes."""
+"""Exception types, which the CLI maps onto exit codes, and the shared
+finite-and-positive argument check."""
+
+import sys
 
 
 class TokpoolError(Exception):
@@ -11,3 +14,9 @@ class UsageError(TokpoolError):
 
 class DataError(TokpoolError):
     """Malformed or out-of-contract data: bad files, NaNs, schema violations (exit code 2)."""
+
+
+def check_finite_positive(value, name: str) -> None:
+    """Raise ``UsageError`` unless ``0 < value <= max double`` (NaN fails too)."""
+    if not 0 < value <= sys.float_info.max:
+        raise UsageError(f"{name} must be finite and positive")

@@ -14,13 +14,12 @@ above ``MAX_PROBE_ELEMENTS`` is a usage error, raised before any allocation.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, check_finite_positive
 from .numerics import Rng, as_matrix
 
 NORM_TOL = 1e-9
@@ -62,8 +61,7 @@ class FilterProbe:
             raise UsageError("query and key dims differ")
         if self.keys.shape[0] != self.values.shape[0]:
             raise UsageError("need one value row per key row")
-        if not 0 < self.alpha <= sys.float_info.max:
-            raise UsageError("alpha must be finite and positive")
+        check_finite_positive(self.alpha, "alpha")
         for name in ("queries", "keys"):
             norms = np.linalg.norm(getattr(self, name), axis=1)
             err = np.abs(norms - 1.0).max()
@@ -130,10 +128,8 @@ def verify_equivalence(
     unit_norm: bool = True,
 ) -> VerifyReport:
     """Evaluate both routes on a seeded random probe and compare."""
-    if not 0 < tol <= sys.float_info.max:
-        raise UsageError("tol must be finite and positive")
-    if not 0 < alpha <= sys.float_info.max:
-        raise UsageError("alpha must be finite and positive")
+    check_finite_positive(tol, "tol")
+    check_finite_positive(alpha, "alpha")
     q, k, v = _random_probe_arrays(n, m, seed, unit_norm)
     dev = float(np.abs(_attention_on(q, k, v, alpha) - _filter_on(q, k, v, alpha)).max())
     return VerifyReport(

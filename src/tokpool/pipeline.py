@@ -1,10 +1,12 @@
 """Forward pass over L blocks with a downsampling layer after each block.
 
-After block l the token set is pooled to the schedule's K_l tokens (the
-protected classification token rides along, so the next block sees
-min(n_l, K_l + 1) tokens). Weighted methods and top-k initialization use the
-significance scores of the block's own attention maps. A schedule entry of 0
-keeps only the protected token; no clustering runs for it.
+Pooling runs if and only if the config has a schedule. After block l the
+token set is pooled to the schedule's K_l tokens (the protected
+classification token rides along, so the next block sees min(n_l, K_l + 1)
+tokens). Weighted methods and top-k initialization use the significance
+scores of the block's own attention maps. A schedule entry of 0 keeps only
+the protected token; no clustering runs for it. Every argument, and every
+scheduled layer's ``PoolSpec``, is checked before the first block runs.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def run_forward(
     tokens: TokenSet,
     blocks: list[BlockWeights],
     config: ModelConfig,
-    pool_method: str | None = None,
+    pool_method: str = "kmedoids",
     pool_init: str = "topk_weight",
     pool_iters: int = 5,
     pool_seed: int = 0,
@@ -51,58 +53,42 @@ def run_forward(
         raise UsageError(
             f"input has {tokens.n_tokens} tokens, config says {config.tokens}"
         )
-    if pool_method is not None and pool_method not in POOL_METHODS:
+    if pool_method not in POOL_METHODS:
         raise UsageError(
             f"unknown pool method {pool_method!r}; choose one of {POOL_METHODS}"
         )
-    mode = config.mode
-    carry = mode == "carry"
+    schedule = config.schedule or (None,) * config.layers
+    if 0 in schedule and not protect_first:
+        raise UsageError("schedule entry 0 requires a protected token to retain")
+    carry = config.mode == "carry"
+    specs = [
+        PoolSpec(
+            method=pool_method,
+            k=k,
+            max_iters=pool_iters,
+            init=pool_init,
+            seed=derive_seed(pool_seed, layer),
+            protect_first=protect_first,
+            emit_counts=carry,
+        ) if k else None
+        for layer, k in enumerate(schedule)
+    ]
+
     cur = tokens.copy()
     if carry and cur.counts is None:
         cur.counts = np.ones(cur.n_tokens)
-
-    pooling = pool_method is not None and config.schedule is not None
     traces: list[LayerTrace] = []
-    for layer in range(config.layers):
+    for layer, (k, spec) in enumerate(zip(schedule, specs)):
         n_in = cur.n_tokens
-        out, detail = block_forward_detailed(cur, blocks[layer], mode=mode)
-        k_target = config.schedule[layer] if config.schedule is not None else None
-        loss = None
-        iterations = None
-        if pooling:
-            k = config.schedule[layer]
-            if k == 0:
-                if not protect_first:
-                    raise UsageError(
-                        "schedule entry 0 requires a protected token to retain"
-                    )
-                counts = out.counts[:1] if (carry and out.counts is not None) else None
-                cur = TokenSet(out.features[:1], None, counts, None)
-            else:
-                scores = significance(detail.maps)
-                pool_in = TokenSet(out.features, scores, out.counts, None)
-                spec = PoolSpec(
-                    method=pool_method,
-                    k=k,
-                    max_iters=pool_iters,
-                    init=pool_init,
-                    seed=derive_seed(pool_seed, layer),
-                    protect_first=protect_first,
-                    emit_counts=carry,
-                )
-                cur, result = token_pool(pool_in, spec)
-                loss = result.loss
-                iterations = result.iterations
+        out, detail = block_forward_detailed(cur, blocks[layer], mode=config.mode)
+        loss = iterations = None
+        if k == 0:  # keep only the protected token
+            cur = TokenSet(out.features[:1], None, out.counts[:1] if carry else None, None)
+        elif spec is not None:
+            pool_in = TokenSet(out.features, significance(detail.maps), out.counts, None)
+            cur, result = token_pool(pool_in, spec)
+            loss, iterations = result.loss, result.iterations
         else:
             cur = out
-        traces.append(
-            LayerTrace(
-                layer=layer,
-                tokens_in=n_in,
-                tokens_out=cur.n_tokens,
-                k_target=k_target,
-                loss=loss,
-                iterations=iterations,
-            )
-        )
+        traces.append(LayerTrace(layer, n_in, cur.n_tokens, k, loss, iterations))
     return cur, traces

@@ -10,8 +10,9 @@ minimizes the nearest-retained-token reconstruction error
 
 Random and importance selection and random initialization share one sorted
 Plackett-Luce draw, ``_draw``. ``token_pool`` assembles every method's output
-the same way: the protected token, then the K centers; with ``emit_counts``,
-each center's count is the summed multiplicity of its cluster. Only the
+the same way: the protected token, then the K centers (every clusterable
+token is its own center when K covers them all); with ``emit_counts``, each
+center's count is the summed multiplicity of its cluster. Only the
 sampling methods carry weights, their survivors' own. ``random_select`` and
 ``importance_select`` keep each survivor's own weight and count.
 
@@ -168,8 +169,9 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
 
     With ``protect_first`` the first token passes through untouched, is
     excluded from clustering and from the reported loss, and does not count
-    toward K. If K covers all clusterable tokens the input is returned
-    unchanged.
+    toward K. If K covers all clusterable tokens, each is its own center
+    (0 iterations, 0.0 loss) and the output goes through the same assembly:
+    the features come back unchanged, with counts under ``emit_counts``.
     """
     if spec.method in _WEIGHTED and f.weights is None:
         raise UsageError(f"method {spec.method!r} requires token weights")
@@ -184,25 +186,25 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
     mult = f.counts[offset:] if f.counts is not None else np.ones(n_eff)
     w_in = f.weights[offset:] if f.weights is not None else None
 
-    if spec.k >= n_eff:
-        idx = np.arange(n_eff, dtype=np.int64)
-        medoids = idx.copy() if spec.method in _MEDOID else None
-        return f.copy(), ClusterResult(idx, feats.copy(), 0, 0.0, mult.copy(), medoids)
-
-    out_w = None
-    if spec.method in _CLUSTERING:
+    if spec.k >= n_eff:  # every token is its own center
+        labels = np.arange(n_eff, dtype=np.int64)
+        centers, iterations, loss = feats.copy(), 0, 0.0
+        medoids = labels.copy() if spec.method in _MEDOID else None
+        kept = labels
+    elif spec.method in _CLUSTERING:
         init_w = w_in if w_in is not None else np.ones(n_eff)
         obj_w = init_w if spec.method in _WEIGHTED else np.ones(n_eff)
         labels, centers, medoids, iterations, loss = _lloyd(feats, obj_w, init_w, spec)
     else:  # random or importance: uniform or weight-proportional sampling
         probs = w_in if spec.method == "importance" else None
-        medoids = _draw(n_eff, spec.k, spec.seed, probs)
+        kept = medoids = _draw(n_eff, spec.k, spec.seed, probs)
         centers = feats[medoids]
         labels, mins = kernels.nearest_sq_dists(feats, centers)
         iterations, loss = 0, float(mins.sum())
-        if w_in is not None:
-            out_w = np.concatenate([f.weights[:offset], w_in[medoids]])
-    counts = np.bincount(labels, weights=mult, minlength=spec.k)
+    out_w = None
+    if spec.method not in _CLUSTERING and w_in is not None:
+        out_w = np.concatenate([f.weights[:offset], w_in[kept]])
+    counts = np.bincount(labels, weights=mult, minlength=centers.shape[0])
     result = ClusterResult(labels, centers, iterations, loss, counts, medoids)
 
     out_counts = None
@@ -271,20 +273,16 @@ def _grid_result(f: TokenSet, emit_counts: bool):
     blocks = body.reshape(h // 2, 2, w // 2, 2, m)
     pooled = blocks.mean(axis=(1, 3)).reshape(-1, m)
 
-    rows = np.concatenate([f.features[:offset], pooled], axis=0)
-    base = f.counts[offset:] if f.counts is not None else np.ones(h * w)
-    if emit_counts:
-        counts = base.reshape(h // 2, 2, w // 2, 2).sum(axis=(1, 3)).reshape(-1)
-        head = f.counts[:offset] if f.counts is not None else np.ones(offset)
-        out_counts = np.concatenate([head, counts])
-    else:
-        out_counts = None
-    out = TokenSet(rows, None, out_counts, (h // 2, w // 2))
-
     # structural assignment: each body token belongs to its 2x2 block
     rr, cc = np.divmod(np.arange(h * w), w)
     labels = ((rr // 2) * (w // 2) + cc // 2).astype(np.int64)
+    base = f.counts[offset:] if f.counts is not None else np.ones(h * w)
+    counts = np.bincount(labels, weights=base, minlength=pooled.shape[0])
+    out_counts = None
+    if emit_counts:
+        head = f.counts[:offset] if f.counts is not None else np.ones(offset)
+        out_counts = np.concatenate([head, counts])
+    rows = np.concatenate([f.features[:offset], pooled], axis=0)
+    out = TokenSet(rows, None, out_counts, (h // 2, w // 2))
     loss = chamfer_loss(f.features[offset:], pooled, None)
-    counts_rec = np.bincount(labels, weights=base, minlength=pooled.shape[0])
-    result = ClusterResult(labels, pooled.copy(), 1, loss, counts_rec, None)
-    return out, result
+    return out, ClusterResult(labels, pooled, 1, loss, counts, None)

@@ -14,14 +14,13 @@ head at a time. Attention modes:
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as kernels
 from .costmodel import MODES, ModelConfig
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, check_finite_positive
 from .numerics import Rng, as_matrix
 
 LN_EPS = 1e-6
@@ -97,6 +96,8 @@ class BlockWeights:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.ndim != 3:
                 raise UsageError(f"{name} must be (heads, dim, head_dim)")
+            if not np.isfinite(arr).all():
+                raise DataError(f"{name} contains non-finite entries")
             setattr(self, name, arr)
         if not (self.wq.shape == self.wk.shape == self.wv.shape):
             raise UsageError("wq, wk, wv shapes differ")
@@ -113,8 +114,8 @@ class BlockWeights:
                 f"mlp shapes {self.mlp1.shape} -> {self.mlp2.shape} do not map "
                 f"{m} -> hidden -> {m}"
             )
-        if self.alpha is not None and not 0 < self.alpha <= sys.float_info.max:
-            raise UsageError("alpha must be finite and positive")
+        if self.alpha is not None:
+            check_finite_positive(self.alpha, "alpha")
 
     @property
     def heads(self) -> int:

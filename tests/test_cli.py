@@ -311,6 +311,22 @@ class TestForward:
         assert code == 2 and "alpha must be finite and positive" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [["--no-protect-first"], ["--pool-iters", "0"]])
+    def test_rejected_before_any_block(self, capsys, tmp_path, monkeypatch, flag):
+        blocks_run = []
+        real = tokpool.pipeline.block_forward_detailed
+        monkeypatch.setattr(tokpool.pipeline, "block_forward_detailed",
+                            lambda *a, **kw: blocks_run.append(1) or real(*a, **kw))
+        cfg = self._write_desk_config(tmp_path, schedule=[8, 5, 0, 0])
+        src = tmp_path / "in.tpm"
+        tpio.write_matrix(src, np.random.default_rng(9).normal(size=(10, 16)))
+        code, _, err = run_cli(
+            capsys, "forward", "--config", str(cfg), "--input", str(src),
+            "--seed", "1", *flag, "--out", str(tmp_path / "o.tpm"),
+        )
+        assert code == 1 and "usage error" in err
+        assert blocks_run == []
+
     def test_seed_and_weights_dir_conflict(self, capsys, tmp_path):
         cfg = self._write_desk_config(tmp_path)
         src = tmp_path / "in.tpm"

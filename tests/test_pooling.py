@@ -356,6 +356,20 @@ class TestCarryCounts:
         out, _ = token_pool(blob_tokens(), PoolSpec("kmeans", 2, protect_first=False))
         assert out.counts is None
 
+    @pytest.mark.parametrize("method", ["kmeans", "wkmedoids", "random", "importance"])
+    @pytest.mark.parametrize("protect", [True, False])
+    @pytest.mark.parametrize("counts", [None, [1.0, 2.5, 3.0, 4.0]])
+    def test_counts_when_k_covers_all(self, method, protect, counts):
+        f = TokenSet(blob_tokens().features, np.array([1.0, 2.0, 3.0, 4.0]), counts)
+        out, res = token_pool(
+            f, PoolSpec(method, 4, protect_first=protect, emit_counts=True)
+        )
+        mult = np.ones(4) if counts is None else f.counts
+        np.testing.assert_array_equal(out.features, f.features)
+        np.testing.assert_array_equal(out.counts, mult)
+        np.testing.assert_array_equal(res.counts, mult[1:] if protect else mult)
+        assert (res.iterations, res.loss) == (0, 0.0)
+
 
 class TestRandomSelect:
     def test_k_equals_n_returns_all(self):
@@ -485,6 +499,16 @@ class TestGridPool:
         feats = np.arange(16, dtype=float).reshape(-1, 1)
         out = grid_pool(TokenSet(feats, grid=(4, 4)))
         np.testing.assert_array_equal(out.features.ravel(), [2.5, 4.5, 10.5, 12.5])
+
+    def test_pooled_counts_are_the_record_counts(self):
+        # non-integer counts: two ways of summing a 2x2 block differ in the last bits
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            counts = rng.uniform(0.1, 10.0, size=25)
+            f = TokenSet(rng.normal(size=(25, 2)), counts=counts, grid=(4, 6))
+            out, res = token_pool(f, PoolSpec("grid", 1, emit_counts=True))
+            assert out.counts[0] == counts[0]
+            assert out.counts[1:].tobytes() == res.counts.tobytes()
 
     def test_via_token_pool(self):
         f = TokenSet(np.arange(4, dtype=float).reshape(-1, 1), grid=(2, 2))

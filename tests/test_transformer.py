@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tokpool.costmodel import ModelConfig
-from tokpool.errors import UsageError
+from tokpool.errors import DataError, UsageError
 from tokpool.transformer import (
     BlockWeights,
     TokenSet,
@@ -128,6 +128,16 @@ class TestNormalizedAlphaMode:
             BlockWeights(
                 wq=w.wq, wk=w.wk, wv=w.wv, wo=w.wo, mlp1=w.mlp1, mlp2=w.mlp2, alpha=alpha
             )
+
+
+class TestBlockWeightsValidation:
+    @pytest.mark.parametrize("name", ["wq", "wk", "wv", "wo", "mlp1", "mlp2"])
+    def test_weights_must_be_finite(self, name):
+        w = make_block(8, 2, seed=19)
+        parts = {n: getattr(w, n).copy() for n in ("wq", "wk", "wv", "wo", "mlp1", "mlp2")}
+        parts[name].flat[3] = math.nan
+        with pytest.raises(DataError, match=f"{name} contains non-finite entries"):
+            BlockWeights(**parts)
 
 
 class TestAttentionMaps:
