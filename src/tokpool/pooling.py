@@ -202,7 +202,7 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
         labels, mins = kernels.nearest_sq_dists(feats, centers)
         iterations, loss = 0, float(mins.sum())
     out_w = None
-    if spec.method not in _CLUSTERING and w_in is not None:
+    if spec.method not in _CLUSTERING and w_in is not None:  # survivors keep their weights
         out_w = np.concatenate([f.weights[:offset], w_in[kept]])
     counts = np.bincount(labels, weights=mult, minlength=centers.shape[0])
     result = ClusterResult(labels, centers, iterations, loss, counts, medoids)
