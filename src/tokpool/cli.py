@@ -58,7 +58,7 @@ def _build_parser() -> _Parser:
                    help="also cluster the first (classification) token")
     p.add_argument("--grid", type=int, nargs=2, metavar=("H", "W"),
                    help="token grid dims (required for the grid method)")
-    p.add_argument("--emit-counts", action="store_true",
+    p.add_argument("--emit-counts", dest="unit_counts", action="store_true",
                    help="attach carry counts to the pooled token set "
                    "(the cluster record in --assignments carries them either way)")
     p.add_argument("--out", required=True)
@@ -221,7 +221,7 @@ def _cmd_pool(args) -> int:
     grid = tuple(args.grid) if args.grid else None
     if args.method == "grid" and grid is None:
         raise UsageError("the grid method requires --grid H W")
-    tokens = TokenSet(feats, weights, None, grid)
+    tokens = TokenSet(feats, weights, np.ones(n) if args.unit_counts else None, grid)
     spec = pooling.PoolSpec(
         method=args.method,
         k=args.k,
@@ -229,7 +229,6 @@ def _cmd_pool(args) -> int:
         init="topk_weight" if args.init == "topk" else "random",
         seed=args.seed,
         protect_first=not args.no_protect_first,
-        emit_counts=args.emit_counts,
     )
     pooled, result = pooling.token_pool(tokens, spec)
     tpio.write_matrix(args.out, pooled.features)

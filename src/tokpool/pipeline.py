@@ -5,8 +5,10 @@ token set is pooled to the schedule's K_l tokens (the protected
 classification token rides along, so the next block sees min(n_l, K_l + 1)
 tokens). Weighted methods and top-k initialization use the significance
 scores of the block's own attention maps. A schedule entry of 0 keeps only
-the protected token; no clustering runs for it. Every argument, and every
-scheduled layer's ``PoolSpec``, is checked before the first block runs.
+the protected token; no clustering runs for it. Carry mode seeds unit counts
+when the input has none, and every layer keeps counts exactly when its input
+has them. Every argument, and every scheduled layer's ``PoolSpec``, is
+checked before the first block runs.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ def run_forward(
     schedule = config.schedule or (None,) * config.layers
     if 0 in schedule and not protect_first:
         raise UsageError("schedule entry 0 requires a protected token to retain")
-    carry = config.mode == "carry"
     specs = [
         PoolSpec(
             method=pool_method,
@@ -69,13 +70,12 @@ def run_forward(
             init=pool_init,
             seed=derive_seed(pool_seed, layer),
             protect_first=protect_first,
-            emit_counts=carry,
         ) if k else None
         for layer, k in enumerate(schedule)
     ]
 
     cur = tokens.copy()
-    if carry and cur.counts is None:
+    if config.mode == "carry" and cur.counts is None:
         cur.counts = np.ones(cur.n_tokens)
     traces: list[LayerTrace] = []
     for layer, (k, spec) in enumerate(zip(schedule, specs)):
@@ -83,7 +83,8 @@ def run_forward(
         out, detail = block_forward_detailed(cur, blocks[layer], mode=config.mode)
         loss = iterations = None
         if k == 0:  # keep only the protected token
-            cur = TokenSet(out.features[:1], None, out.counts[:1] if carry else None, None)
+            head = None if out.counts is None else out.counts[:1]
+            cur = TokenSet(out.features[:1], None, head, None)
         elif spec is not None:
             pool_in = TokenSet(out.features, significance(detail.maps), out.counts, None)
             cur, result = token_pool(pool_in, spec)

@@ -11,10 +11,11 @@ minimizes the nearest-retained-token reconstruction error
 Random and importance selection and random initialization share one sorted
 Plackett-Luce draw, ``_draw``. ``token_pool`` assembles every method's output
 the same way: the protected token, then the K centers (every clusterable
-token is its own center when K covers them all); with ``emit_counts``, each
-center's count is the summed multiplicity of its cluster. Only the
-sampling methods carry weights, their survivors' own. ``random_select`` and
-``importance_select`` keep each survivor's own weight and count.
+token is its own center when K covers them all). Every method returns counts
+exactly when its input has them: each center's count sums its cluster's
+multiplicities. Only the sampling methods carry weights, their survivors'
+own; ``random_select`` and ``importance_select`` keep each survivor's own
+weight and count.
 
 Determinism rules: every argmin/argmax tie resolves to the lowest index.
 Every nearest-center search (k-means and k-medoids assignment, empty-cluster
@@ -52,7 +53,6 @@ class PoolSpec:
     init: str = "topk_weight"
     seed: int = 0
     protect_first: bool = True
-    emit_counts: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -141,7 +141,8 @@ def _lloyd(feats, obj_w, init_w, spec: PoolSpec):
     prev = labels
     iterations = 0
     for step in range(spec.max_iters):
-        occupied = np.bincount(labels, minlength=k) > 0
+        mass = np.bincount(labels, weights=obj_w, minlength=k)
+        occupied = mass > 0  # a cluster of zero-weight tokens is repaired too
         if medoid:
             new_med = kernels.medoid_update(feats, labels, k, obj_w)
             medoids[occupied] = new_med[occupied]
@@ -151,7 +152,6 @@ def _lloyd(feats, obj_w, init_w, spec: PoolSpec):
         else:
             sums = np.zeros((k, feats.shape[1]))
             np.add.at(sums, labels, obj_w[:, None] * feats)
-            mass = np.bincount(labels, weights=obj_w, minlength=k)
             centers[occupied] = sums[occupied] / mass[occupied, None]
             if not occupied.all():
                 _repair_empty(centers, feats, occupied)
@@ -171,14 +171,15 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
     excluded from clustering and from the reported loss, and does not count
     toward K. If K covers all clusterable tokens, each is its own center
     (0 iterations, 0.0 loss) and the output goes through the same assembly:
-    the features come back unchanged, with counts under ``emit_counts``.
+    the features come back unchanged. The pooled set carries counts exactly
+    when ``f`` does.
     """
     if spec.method in _WEIGHTED and f.weights is None:
         raise UsageError(f"method {spec.method!r} requires token weights")
     if spec.method == "importance" and f.weights is None:
         raise UsageError("importance selection requires token weights (scores)")
     if spec.method == "grid":
-        return _grid_result(f, spec.emit_counts)
+        return _grid_result(f)
 
     offset = 1 if spec.protect_first else 0
     feats = np.ascontiguousarray(f.features[offset:])
@@ -194,6 +195,8 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
     elif spec.method in _CLUSTERING:
         init_w = w_in if w_in is not None else np.ones(n_eff)
         obj_w = init_w if spec.method in _WEIGHTED else np.ones(n_eff)
+        if not obj_w.any():
+            raise DataError("weights sum to zero")
         labels, centers, medoids, iterations, loss = _lloyd(feats, obj_w, init_w, spec)
     else:  # random or importance: uniform or weight-proportional sampling
         probs = w_in if spec.method == "importance" else None
@@ -207,10 +210,7 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
     counts = np.bincount(labels, weights=mult, minlength=centers.shape[0])
     result = ClusterResult(labels, centers, iterations, loss, counts, medoids)
 
-    out_counts = None
-    if spec.emit_counts:
-        head = f.counts[:offset] if f.counts is not None else np.ones(offset)
-        out_counts = np.concatenate([head, counts])
+    out_counts = None if f.counts is None else np.concatenate([f.counts[:offset], counts])
     features = np.concatenate([f.features[:offset], centers], axis=0)
     return TokenSet(features, out_w, out_counts, None), result
 
@@ -251,17 +251,17 @@ def importance_select(
     offset = 1 if protect_first else 0
     if scores[offset:].sum() <= 0:
         raise DataError("scores sum to zero")
-    # zero scores cannot be TokenSet weights, so they go to the draw directly
+    # scores only steer the draw; survivors keep f's own weights and counts
     return _select(f, k, seed, scores[offset:], protect_first)
 
 
 def grid_pool(f: TokenSet) -> TokenSet:
     """Mean-pool non-overlapping 2x2 grid patches; grid dims halve."""
-    out, _ = _grid_result(f, False)
+    out, _ = _grid_result(f)
     return out
 
 
-def _grid_result(f: TokenSet, emit_counts: bool):
+def _grid_result(f: TokenSet):
     if f.grid is None:
         raise UsageError("grid pooling requires a token grid")
     h, w = f.grid
@@ -278,10 +278,7 @@ def _grid_result(f: TokenSet, emit_counts: bool):
     labels = ((rr // 2) * (w // 2) + cc // 2).astype(np.int64)
     base = f.counts[offset:] if f.counts is not None else np.ones(h * w)
     counts = np.bincount(labels, weights=base, minlength=pooled.shape[0])
-    out_counts = None
-    if emit_counts:
-        head = f.counts[:offset] if f.counts is not None else np.ones(offset)
-        out_counts = np.concatenate([head, counts])
+    out_counts = None if f.counts is None else np.concatenate([f.counts[:offset], counts])
     rows = np.concatenate([f.features[:offset], pooled], axis=0)
     out = TokenSet(rows, None, out_counts, (h // 2, w // 2))
     loss = chamfer_loss(f.features[offset:], pooled, None)

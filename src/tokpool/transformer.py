@@ -8,7 +8,7 @@ head at a time. Attention modes:
 
 ``standard``          logits = Q K^T / sqrt(d)
 ``normalized_alpha``  rows of Q and K scaled to unit L2 norm, logits = alpha * Q K^T;
-                      a zero query or key row is a DataError
+                      a zero query or key row stays zero, so its logits are 0
 ``carry``             softmax numerator and denominator of key i scaled by count c_i
 """
 
@@ -28,8 +28,8 @@ LN_EPS = 1e-6
 
 @dataclass
 class TokenSet:
-    """N tokens of dimension M, with optional per-token weights, carry
-    multiplicities, and a spatial grid for the non-classification tokens."""
+    """N tokens of dimension M, with optional nonnegative per-token weights,
+    positive carry multiplicities, and a grid for the non-classification tokens."""
 
     features: np.ndarray
     weights: np.ndarray | None = None
@@ -41,15 +41,16 @@ class TokenSet:
         n = self.features.shape[0]
         if n < 1:
             raise UsageError("a token set needs at least one token")
-        for name in ("weights", "counts"):
+        for name, rule in (("weights", "nonnegative"), ("counts", "positive")):
             value = getattr(self, name)
             if value is None:
                 continue
             value = np.asarray(value, dtype=np.float64).reshape(-1)
             if value.shape[0] != n:
                 raise UsageError(f"{name} length {value.shape[0]} != {n} tokens")
-            if not np.isfinite(value).all() or (value <= 0).any():
-                raise DataError(f"{name} must be finite and positive")
+            low = value < 0 if name == "weights" else value <= 0
+            if not np.isfinite(value).all() or low.any():
+                raise DataError(f"{name} must be finite and {rule}")
             setattr(self, name, value)
         if self.grid is not None:
             h, w = (int(v) for v in self.grid)
@@ -167,8 +168,8 @@ def _msa_detail(features: np.ndarray, counts, w: BlockWeights, mode: str):
     if mode == "normalized_alpha":
         qn = np.linalg.norm(q, axis=2, keepdims=True)
         kn = np.linalg.norm(k, axis=2, keepdims=True)
-        if (qn == 0).any() or (kn == 0).any():
-            raise DataError("cannot normalize a zero query/key row")
+        qn[qn == 0] = 1.0  # a zero row stays zero, as torch's F.normalize leaves it
+        kn[kn == 0] = 1.0
         logits = (q / qn) @ (k / kn).transpose(0, 2, 1)
         logits *= 1.0 if w.alpha is None else float(w.alpha)
     else:

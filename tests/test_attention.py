@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokpool.costmodel import MODES
-from tokpool.errors import DataError
 from tokpool.transformer import (
     BlockWeights,
     TokenSet,
     _msa_detail,
+    attention_maps,
     block_forward_detailed,
     gelu,
     layer_norm,
@@ -39,8 +39,9 @@ def reference_msa(features, counts, w, mode):
             alpha = 1.0 if w.alpha is None else float(w.alpha)
             qn = np.linalg.norm(q, axis=1, keepdims=True)
             kn = np.linalg.norm(k, axis=1, keepdims=True)
-            if (qn == 0).any() or (kn == 0).any():
-                raise DataError("cannot normalize a zero query/key row")
+            # a zero row stays zero (logits 0), as torch's F.normalize leaves it
+            qn = np.where(qn == 0, 1.0, qn)
+            kn = np.where(kn == 0, 1.0, kn)
             logits = alpha * ((q / qn) @ (k / kn).T)
         else:
             logits = (q @ k.T) / np.sqrt(d)
@@ -131,13 +132,18 @@ class TestBatchedAgainstLoop:
 
 class TestZeroNormRows:
     @pytest.mark.parametrize("zero", ["token", "query", "key"])
-    def test_normalized_alpha_rejects_zero_row(self, zero):
+    def test_normalized_alpha_zero_row_has_zero_logits(self, zero):
         feats, _, w = random_case(2, 4, 5, seed=3, dup=False, alpha=2.0)
         if zero == "token":
             feats[2] = 0.0
         else:
             getattr(w, "wq" if zero == "query" else "wk")[1] = 0.0
-        with pytest.raises(DataError, match="cannot normalize a zero query/key row"):
-            msa_forward(TokenSet(feats), w, mode="normalized_alpha")
+        maps = attention_maps(TokenSet(feats), w, mode="normalized_alpha")
+        assert np.isfinite(maps).all()
+        # a zero query (token 2 in every head; every query of head 1) has
+        # logit 0 against every key; a zero key (head 1) gives every row logit 0
+        uniform = maps[:, 2] if zero == "token" else maps[1]
+        np.testing.assert_allclose(uniform, 1 / 5, rtol=1e-15)
+        assert_matches_reference(feats, None, w, "normalized_alpha")
         # the other modes have no norm to take
         msa_forward(TokenSet(feats), w, mode="standard")

@@ -23,6 +23,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_weights_dir(wdir, blocks):
+    """Export blocks as layer{L:02d}_{name}.tpm files, heads side by side."""
+    wdir.mkdir()
+    for layer, w in enumerate(blocks):
+        qkv = {
+            "wq": np.hstack(list(w.wq)),
+            "wk": np.hstack(list(w.wk)),
+            "wv": np.hstack(list(w.wv)),
+        }
+        for name, mat in {**qkv, "wo": w.wo, "mlp1": w.mlp1, "mlp2": w.mlp2}.items():
+            tpio.write_matrix(wdir / f"layer{layer:02d}_{name}.tpm", mat)
+
+
 class TestCost:
     def test_json_grand_total_near_published(self, capsys):
         code, out, err = run_cli(capsys, "cost", "--config", DEIT_S_CONFIG, "--format", "json")
@@ -63,6 +76,12 @@ class TestCost:
         sched.write_text(json.dumps([True] + [196] * 11))
         code, out, err = run_cli(capsys, "cost", "--config", DEIT_S_CONFIG, "--schedule", str(sched))
         assert code == 2 and out == "" and "array of integers" in err
+
+    def test_schedule_of_wrong_length_is_data_error(self, capsys, tmp_path):
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps([196, 196, 196]))  # deit-s has 12 layers
+        code, out, err = run_cli(capsys, "cost", "--config", DEIT_S_CONFIG, "--schedule", str(sched))
+        assert code == 2 and out == "" and "data error" in err and str(sched) in err
 
     @pytest.mark.parametrize("alpha", ["Infinity", "1" + "0" * 400])
     def test_alpha_beyond_double_range_is_data_error(self, capsys, tmp_path, alpha):
@@ -130,6 +149,65 @@ class TestPool:
             "--out", str(tmp_path / "o.tpm"),
         )
         assert code == 1 and "usage error" in err
+
+    def test_weights_of_wrong_count_is_data_error(self, capsys, tmp_path):
+        src = tmp_path / "f.tpm"
+        weights = tmp_path / "w.tpm"
+        tpio.write_matrix(src, np.random.default_rng(2).normal(size=(6, 2)))
+        tpio.write_matrix(weights, np.ones((5, 1)))
+        code, _, err = run_cli(
+            capsys, "pool", "--input", str(src), "--k", "2", "--method", "wkmeans",
+            "--weights", str(weights), "--out", str(tmp_path / "o.tpm"),
+        )
+        assert code == 2 and "expected 6 weights, got 5" in err
+
+    @pytest.mark.parametrize("method, positive, message", [
+        ("wkmeans", 1, "weights sum to zero"),
+        ("wkmedoids", 1, "weights sum to zero"),
+        ("importance", 1, "probs sum to zero"),
+        ("importance", 2, "probability mass exhausted before k draws"),
+    ])
+    def test_too_few_positive_weights_is_data_error(self, capsys, tmp_path, method,
+                                                    positive, message):
+        # zero weights are valid; row 0 is protected, so `positive` - 1 rows can be drawn
+        src = tmp_path / "f.tpm"
+        weights = tmp_path / "w.tpm"
+        tpio.write_matrix(src, np.random.default_rng(2).normal(size=(6, 2)))
+        tpio.write_matrix(weights, (np.arange(6) < positive).astype(float).reshape(-1, 1))
+        code, _, err = run_cli(
+            capsys, "pool", "--input", str(src), "--k", "2", "--method", method,
+            "--weights", str(weights), "--out", str(tmp_path / "o.tpm"),
+        )
+        assert code == 2 and message in err
+
+    def test_scores_from_without_heads_is_usage_error(self, capsys, tmp_path):
+        src = tmp_path / "f.tpm"
+        tpio.write_matrix(src, np.ones((4, 2)))
+        code, _, err = run_cli(
+            capsys, "pool", "--input", str(src), "--k", "2", "--method", "wkmeans",
+            "--scores-from", str(src), "--out", str(tmp_path / "o.tpm"),
+        )
+        assert code == 1 and "--scores-from requires --heads" in err
+
+    def test_scores_from_other_token_count_is_data_error(self, capsys, tmp_path):
+        amap = tmp_path / "a.tpm"
+        tpio.write_attention_maps(amap, np.full((2, 5, 5), 0.2))
+        src = tmp_path / "f.tpm"
+        tpio.write_matrix(src, np.random.default_rng(2).normal(size=(6, 2)))
+        code, _, err = run_cli(
+            capsys, "pool", "--input", str(src), "--k", "2", "--method", "wkmeans",
+            "--scores-from", str(amap), "--heads", "2", "--out", str(tmp_path / "o.tpm"),
+        )
+        assert code == 2 and "maps cover 5 tokens, input has 6" in err
+
+    def test_grid_method_without_grid_is_usage_error(self, capsys, tmp_path):
+        src = tmp_path / "f.tpm"
+        tpio.write_matrix(src, np.ones((4, 2)))
+        code, _, err = run_cli(
+            capsys, "pool", "--input", str(src), "--k", "1", "--method", "grid",
+            "--out", str(tmp_path / "o.tpm"),
+        )
+        assert code == 1 and "the grid method requires --grid H W" in err
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_empty_token_file_is_data_error(self, capsys, tmp_path, shape):
@@ -252,15 +330,7 @@ class TestForward:
         config = ModelConfig(layers=4, dim=16, heads=4, tokens=10)
         blocks = synth_weights(config, 3)
         wdir = tmp_path / "weights"
-        wdir.mkdir()
-        for layer, w in enumerate(blocks):
-            qkv = {
-                "wq": np.hstack(list(w.wq)),
-                "wk": np.hstack(list(w.wk)),
-                "wv": np.hstack(list(w.wv)),
-            }
-            for name, mat in {**qkv, "wo": w.wo, "mlp1": w.mlp1, "mlp2": w.mlp2}.items():
-                tpio.write_matrix(wdir / f"layer{layer:02d}_{name}.tpm", mat)
+        write_weights_dir(wdir, blocks)
         src = tmp_path / "in.tpm"
         feats = np.random.default_rng(7).normal(size=(10, 16))
         tpio.write_matrix(src, feats)
@@ -273,6 +343,62 @@ class TestForward:
         got = tpio.read_matrix(out_dir_run)
         assert got.shape == (10, 16)
         assert np.isfinite(got).all()
+
+    @pytest.mark.parametrize("name, shape, message", [
+        ("wq", (16, 8), "wq of layer 0 must be 16x16"),
+        ("mlp2", (32, 16), "do not map 16 -> hidden -> 16"),
+    ])
+    def test_weights_dir_bad_shape_is_data_error(self, capsys, tmp_path, name, shape, message):
+        from tokpool.costmodel import ModelConfig
+        from tokpool.transformer import synth_weights
+
+        cfg = self._write_desk_config(tmp_path)
+        wdir = tmp_path / "weights"
+        write_weights_dir(wdir, synth_weights(ModelConfig(layers=4, dim=16, heads=4, tokens=10), 3))
+        tpio.write_matrix(wdir / f"layer00_{name}.tpm", np.ones(shape))
+        src = tmp_path / "in.tpm"
+        tpio.write_matrix(src, np.random.default_rng(7).normal(size=(10, 16)))
+        code, out, err = run_cli(
+            capsys, "forward", "--config", str(cfg), "--input", str(src),
+            "--weights-dir", str(wdir), "--out", str(tmp_path / "o.tpm"),
+        )
+        assert code == 2 and out == "" and message in err
+        assert not (tmp_path / "o.tpm").exists()
+
+    def test_normalized_alpha_zero_row_runs(self, capsys, tmp_path):
+        # layer_norm maps a constant row to 0, so its query and key are 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"layers": 2, "dim": 16, "heads": 4, "tokens": 11,
+                                   "alpha": 4, "mode": "normalized_alpha"}))
+        feats = np.random.default_rng(10).normal(size=(11, 16))
+        feats[4] = 0.0
+        src = tmp_path / "in.tpm"
+        tpio.write_matrix(src, feats)
+        out = tmp_path / "o.tpm"
+        code, _, err = run_cli(
+            capsys, "forward", "--config", str(cfg), "--input", str(src),
+            "--seed", "1", "--out", str(out),
+        )
+        assert code == 0 and err == ""
+        assert np.isfinite(tpio.read_matrix(out)).all()
+
+    @pytest.mark.parametrize("method", ["kmeans", "wkmeans", "kmedoids", "wkmedoids",
+                                        "random", "importance"])
+    def test_underflowed_significance_pools(self, capsys, tmp_path, method):
+        # at alpha 1e4 some keys get no attention from any query: significance 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"layers": 1, "dim": 16, "heads": 2, "tokens": 60,
+                                   "schedule": [10], "mode": "normalized_alpha",
+                                   "alpha": 10000}))
+        src = tmp_path / "in.tpm"
+        tpio.write_matrix(src, np.random.default_rng(0).normal(size=(60, 16)))
+        out = tmp_path / "o.tpm"
+        code, _, err = run_cli(
+            capsys, "forward", "--config", str(cfg), "--input", str(src),
+            "--seed", "0", "--pool-method", method, "--out", str(out),
+        )
+        assert code == 0 and err == ""
+        assert tpio.read_matrix(out).shape == (11, 16)
 
     def test_carry_mode_runs(self, capsys, tmp_path):
         cfg = self._write_desk_config(tmp_path, schedule=[8, 5, 5, 2], mode="carry")

@@ -71,7 +71,6 @@ def reference_run_forward(tokens, blocks, config, pool_method=None,
                     init=pool_init,
                     seed=derive_seed(pool_seed, layer),
                     protect_first=protect_first,
-                    emit_counts=carry,
                 )
                 cur, result = reference_token_pool(pool_in, spec)
                 loss = result.loss

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tokpool.errors import DataError, UsageError
 from tokpool.pooling import (
+    METHODS,
     ClusterResult,
     PoolSpec,
     chamfer_loss,
@@ -230,6 +231,22 @@ class TestWeightedVariants:
         center = res.centers[heavy_cluster][0]
         assert center == pytest.approx(110.0 / 101.0, rel=1e-12)
 
+    @pytest.mark.parametrize("method", ["wkmeans", "wkmedoids"])
+    def test_cluster_of_zero_weight_tokens_is_repaired(self, method):
+        # top-k init takes tokens 0 and 1; tokens 1-3 weigh 0, so cluster 1
+        # has no mass to average and takes the worst-reconstructed token
+        pts = np.array([[0.0], [10.0], [11.0], [12.0]])
+        f = TokenSet(pts, weights=np.array([1.0, 0.0, 0.0, 0.0]))
+        out, res = token_pool(f, PoolSpec(method, 2, protect_first=False))
+        assert out.features.ravel().tolist() == [0.0, 12.0]
+        assert res.loss == 0.0
+
+    @pytest.mark.parametrize("method", ["wkmeans", "wkmedoids"])
+    def test_all_zero_weights_rejected(self, method):
+        f = TokenSet(np.arange(4.0).reshape(-1, 1), weights=np.zeros(4))
+        with pytest.raises(DataError, match="weights sum to zero"):
+            token_pool(f, PoolSpec(method, 2, protect_first=False))
+
     def test_weighted_requires_weights(self):
         f = TokenSet(np.ones((4, 2)))
         with pytest.raises(UsageError):
@@ -341,15 +358,14 @@ class TestProtectFirst:
 
 class TestCarryCounts:
     def test_counts_are_cluster_sizes(self):
-        out, res = token_pool(
-            blob_tokens(), PoolSpec("kmeans", 2, protect_first=False, emit_counts=True)
-        )
+        f = TokenSet(blob_tokens().features, counts=np.ones(4))
+        out, res = token_pool(f, PoolSpec("kmeans", 2, protect_first=False))
         assert res.counts.tolist() == [2.0, 2.0]
         np.testing.assert_array_equal(out.counts, [2.0, 2.0])
 
     def test_counts_accumulate_input_multiplicities(self):
         f = TokenSet(blob_tokens().features, counts=np.array([1.0, 2.0, 3.0, 4.0]))
-        _, res = token_pool(f, PoolSpec("kmeans", 2, protect_first=False, emit_counts=True))
+        _, res = token_pool(f, PoolSpec("kmeans", 2, protect_first=False))
         assert res.counts.tolist() == [3.0, 7.0]
 
     def test_no_counts_without_flag(self):
@@ -360,15 +376,50 @@ class TestCarryCounts:
     @pytest.mark.parametrize("protect", [True, False])
     @pytest.mark.parametrize("counts", [None, [1.0, 2.5, 3.0, 4.0]])
     def test_counts_when_k_covers_all(self, method, protect, counts):
-        f = TokenSet(blob_tokens().features, np.array([1.0, 2.0, 3.0, 4.0]), counts)
-        out, res = token_pool(
-            f, PoolSpec(method, 4, protect_first=protect, emit_counts=True)
-        )
-        mult = np.ones(4) if counts is None else f.counts
+        # counts=None: a count-less input has no counts to pool, so it carries unit ones
+        mult = np.ones(4) if counts is None else np.array(counts)
+        f = TokenSet(blob_tokens().features, np.array([1.0, 2.0, 3.0, 4.0]), mult)
+        out, res = token_pool(f, PoolSpec(method, 4, protect_first=protect))
         np.testing.assert_array_equal(out.features, f.features)
         np.testing.assert_array_equal(out.counts, mult)
         np.testing.assert_array_equal(res.counts, mult[1:] if protect else mult)
         assert (res.iterations, res.loss) == (0, 0.0)
+
+
+@st.composite
+def counts_cases(draw):
+    """Gaussian tokens (no duplicate rows) on a grid, positive weights, and
+    counts or none; with ``protect`` the extra row is the grid's class slot."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    protect = draw(st.booleans())
+    h, w = draw(st.sampled_from([(2, 2), (2, 4), (4, 4), (4, 6)]))
+    n = h * w + protect
+    feats = rng.normal(size=(n, draw(st.integers(1, 4))))
+    counts = rng.uniform(0.5, 5.0, size=n) if draw(st.booleans()) else None
+    f = TokenSet(feats, rng.uniform(0.1, 3.0, size=n), counts, (h, w))
+    return f, protect, draw(st.integers(1, n)), draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts_cases())
+def test_pooled_counts_follow_input_counts(case):
+    f, protect, k, seed = case
+    for method in METHODS:
+        out, _ = token_pool(f, PoolSpec(method, k, seed=seed, protect_first=protect))
+        assert (out.counts is None) == (f.counts is None)
+        if f.counts is not None:
+            assert (out.counts > 0).all()
+            assert out.counts.sum() == pytest.approx(f.counts.sum(), rel=1e-12)
+    # the selectors drop the tokens they do not draw, so their survivors keep
+    # their own counts instead of summing to the input's multiplicity
+    k = min(k, f.n_tokens - protect)
+    for out in (random_select(f, k, seed, protect),
+                importance_select(f, f.weights, k, seed, protect)):
+        assert (out.counts is None) == (f.counts is None)
+        if f.counts is not None:
+            rows = [np.flatnonzero((f.features == row).all(axis=1))[0] for row in out.features]
+            assert (out.counts > 0).all()
+            np.testing.assert_array_equal(out.counts, f.counts[rows])
 
 
 class TestRandomSelect:
@@ -506,7 +557,7 @@ class TestGridPool:
         for _ in range(20):
             counts = rng.uniform(0.1, 10.0, size=25)
             f = TokenSet(rng.normal(size=(25, 2)), counts=counts, grid=(4, 6))
-            out, res = token_pool(f, PoolSpec("grid", 1, emit_counts=True))
+            out, res = token_pool(f, PoolSpec("grid", 1))
             assert out.counts[0] == counts[0]
             assert out.counts[1:].tobytes() == res.counts.tobytes()
 

@@ -253,11 +253,15 @@ class TestSynthWeights:
 
 
 class TestTokenSetValidation:
-    def test_weights_must_be_positive(self):
+    def test_weights_must_be_nonnegative(self):
         from tokpool.errors import DataError
 
-        with pytest.raises(DataError):
-            TokenSet(np.ones((2, 2)), weights=[1.0, 0.0])
+        for bad in ([1.0, -1.0], [1.0, np.nan]):
+            with pytest.raises(DataError, match="weights must be finite and nonnegative"):
+                TokenSet(np.ones((2, 2)), weights=bad)
+        TokenSet(np.ones((2, 2)), weights=[1.0, 0.0])  # an attention score that underflowed
+        with pytest.raises(DataError, match="^counts must be finite and positive$"):
+            TokenSet(np.ones((2, 2)), counts=[1.0, 0.0])
 
     def test_grid_must_cover_tokens(self):
         with pytest.raises(UsageError):
