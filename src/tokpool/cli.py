@@ -19,7 +19,7 @@ import numpy as np
 from . import io as tpio
 from . import pipeline, pooling
 from .costmodel import CATEGORIES, FlopReport, breakdown_fractions, model_flops
-from .errors import DataError, TokpoolError, UsageError
+from .errors import DataError, UsageError
 from .filterlab import verify_equivalence
 from .scoring import significance
 from .transformer import TokenSet, synth_weights
@@ -336,7 +336,7 @@ def _cmd_verify_filter(args) -> int:
         unit_norm=not args.no_normalize,
     )
     print(
-        f"max_abs_dev={report.max_abs_dev!r} tol={report.tol!r} "
+        f"max_abs_dev={report.max_abs_dev!r} tol={args.tol!r} "
         f"pass={'true' if report.passed else 'false'}"
     )
     return 0 if report.passed else 3
@@ -360,9 +360,6 @@ def main(argv=None) -> int:
         return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except TokpoolError as exc:  # pragma: no cover - defensive
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

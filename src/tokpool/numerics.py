@@ -111,10 +111,11 @@ def sample_without_replacement(rng: Rng, n: int, k: int, probs=None) -> np.ndarr
     """Draw ``k`` distinct indices from ``range(n)``.
 
     Sequential draws renormalize the remaining mass after each pick
-    (Plackett-Luce order); uniform when ``probs`` is omitted. The ``k``
-    uniform doubles, one per draw, are taken in one fill before the first
-    pick, so the generator advances by ``k`` draws even when the call raises
-    partway.
+    (Plackett-Luce order); uniform when ``probs`` is omitted. Once the
+    positive mass is spent, the remaining undrawn indices are drawn
+    uniformly. The ``k`` uniform doubles, one per draw, are taken in one fill
+    after the arguments are checked, so a call that returns advances the
+    generator by exactly ``k`` draws.
     """
     n = int(n)
     k = int(k)
@@ -136,10 +137,11 @@ def sample_without_replacement(rng: Rng, n: int, k: int, probs=None) -> np.ndarr
     uniforms = rng.random(k)
     for i in range(k):
         cum = np.cumsum(remaining)
-        total = cum[-1]
-        if total <= 0.0:
-            raise DataError("probability mass exhausted before k draws")
-        r = uniforms[i] * total
+        if cum[-1] <= 0.0:  # positive mass spent: draw the undrawn uniformly
+            remaining = np.ones(n, dtype=np.float64)
+            remaining[out[:i]] = 0.0
+            cum = np.cumsum(remaining)
+        r = uniforms[i] * cum[-1]
         idx = int(np.searchsorted(cum, r, side="right"))
         if idx >= n:  # r rounded up to total: take the last positive-mass entry
             idx = n - 1

@@ -10,12 +10,11 @@ minimizes the nearest-retained-token reconstruction error
 
 Random and importance selection and random initialization share one sorted
 Plackett-Luce draw, ``_draw``. ``token_pool`` assembles every method's output
-the same way: the protected token, then the K centers (every clusterable
-token is its own center when K covers them all). Every method returns counts
-exactly when its input has them: each center's count sums its cluster's
-multiplicities. Only the sampling methods carry weights, their survivors'
-own; ``random_select`` and ``importance_select`` keep each survivor's own
-weight and count.
+the same way: a pooled set is the protected token plus the K centers (every
+clusterable token is its own center when K covers them all), with counts
+exactly when the input has them (each center's count sums its cluster's
+multiplicities) and no weights. ``random_select`` and ``importance_select``
+keep each survivor's own weight and count.
 
 Determinism rules: every argmin/argmax tie resolves to the lowest index.
 Every nearest-center search (k-means and k-medoids assignment, empty-cluster
@@ -74,7 +73,7 @@ class ClusterResult:
     iterations: int
     loss: float
     counts: np.ndarray                # per-cluster sums of input multiplicities
-    medoid_indices: np.ndarray | None = None
+    medoid_indices: np.ndarray | None = None  # centers' input rows; None for means
 
 
 def chamfer_loss(f, fhat, weights=None) -> float:
@@ -172,7 +171,7 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
     toward K. If K covers all clusterable tokens, each is its own center
     (0 iterations, 0.0 loss) and the output goes through the same assembly:
     the features come back unchanged. The pooled set carries counts exactly
-    when ``f`` does.
+    when ``f`` does, and no weights.
     """
     if spec.method in _WEIGHTED and f.weights is None:
         raise UsageError(f"method {spec.method!r} requires token weights")
@@ -190,8 +189,7 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
     if spec.k >= n_eff:  # every token is its own center
         labels = np.arange(n_eff, dtype=np.int64)
         centers, iterations, loss = feats.copy(), 0, 0.0
-        medoids = labels.copy() if spec.method in _MEDOID else None
-        kept = labels
+        medoids = None if spec.method in ("kmeans", "wkmeans") else labels.copy()
     elif spec.method in _CLUSTERING:
         init_w = w_in if w_in is not None else np.ones(n_eff)
         obj_w = init_w if spec.method in _WEIGHTED else np.ones(n_eff)
@@ -200,19 +198,16 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
         labels, centers, medoids, iterations, loss = _lloyd(feats, obj_w, init_w, spec)
     else:  # random or importance: uniform or weight-proportional sampling
         probs = w_in if spec.method == "importance" else None
-        kept = medoids = _draw(n_eff, spec.k, spec.seed, probs)
+        medoids = _draw(n_eff, spec.k, spec.seed, probs)
         centers = feats[medoids]
         labels, mins = kernels.nearest_sq_dists(feats, centers)
         iterations, loss = 0, float(mins.sum())
-    out_w = None
-    if spec.method not in _CLUSTERING and w_in is not None:  # survivors keep their weights
-        out_w = np.concatenate([f.weights[:offset], w_in[kept]])
     counts = np.bincount(labels, weights=mult, minlength=centers.shape[0])
     result = ClusterResult(labels, centers, iterations, loss, counts, medoids)
 
     out_counts = None if f.counts is None else np.concatenate([f.counts[:offset], counts])
     features = np.concatenate([f.features[:offset], centers], axis=0)
-    return TokenSet(features, out_w, out_counts, None), result
+    return TokenSet(features, None, out_counts, None), result
 
 
 def _select(f: TokenSet, k: int, seed: int, probs, protect_first: bool) -> TokenSet:

@@ -165,7 +165,6 @@ class TestPool:
         ("wkmeans", 1, "weights sum to zero"),
         ("wkmedoids", 1, "weights sum to zero"),
         ("importance", 1, "probs sum to zero"),
-        ("importance", 2, "probability mass exhausted before k draws"),
     ])
     def test_too_few_positive_weights_is_data_error(self, capsys, tmp_path, method,
                                                     positive, message):
@@ -179,6 +178,25 @@ class TestPool:
             "--weights", str(weights), "--out", str(tmp_path / "o.tpm"),
         )
         assert code == 2 and message in err
+
+    def test_importance_draws_zero_scores_once_positive_mass_is_spent(self, capsys, tmp_path):
+        # row 0 is protected and row 1 is the one clusterable positive score;
+        # the second draw falls back to the zero-score rows, uniformly
+        src, weights = tmp_path / "f.tpm", tmp_path / "w.tpm"
+        out, asg = tmp_path / "o.tpm", tmp_path / "a.json"
+        tpio.write_matrix(src, np.random.default_rng(2).normal(size=(6, 2)))
+        tpio.write_matrix(weights, (np.arange(6) < 2).astype(float).reshape(-1, 1))
+        code, _, err = run_cli(
+            capsys, "pool", "--input", str(src), "--k", "2", "--method", "importance",
+            "--weights", str(weights), "--out", str(out), "--assignments", str(asg),
+        )
+        assert code == 0, err
+        pooled, feats = tpio.read_matrix(out), tpio.read_matrix(src)
+        record = json.loads(asg.read_text())
+        assert pooled.shape == (3, 2)  # K + 1 rows
+        assert 0 in record["medoid_indices"]  # row 1, the positive score, survives
+        np.testing.assert_array_equal(pooled[1:], feats[1:][record["medoid_indices"]])
+        assert all(c > 0 for c in record["counts"])
 
     def test_scores_from_without_heads_is_usage_error(self, capsys, tmp_path):
         src = tmp_path / "f.tpm"
@@ -475,6 +493,14 @@ class TestVerifyFilter:
         dev = float(out.split("max_abs_dev=")[1].split()[0])
         assert dev < 1e-9
 
+    @pytest.mark.parametrize("tol, shown", [(None, "1e-09"), ("0.5", "0.5")])
+    def test_one_key_stdout_is_pinned(self, capsys, tol, shown):
+        # with one key both routes return its value exactly, on any BLAS
+        argv = ["verify-filter", "--n", "1", "--m", "4", "--alpha", "3", "--seed", "7"]
+        code, out, _ = run_cli(capsys, *argv, *(["--tol", tol] if tol else []))
+        assert code == 0
+        assert out == f"max_abs_dev=0.0 tol={shown} pass=true\n"
+
     def test_counterexample_exits_3(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify-filter", "--n", "16", "--m", "8",
@@ -540,3 +566,11 @@ class TestArgHandling:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("layer,tokens,")
+
+    def test_benchmark_tracer_finds_every_name_it_patches(self):
+        # the tracer patches names by attribute; a renamed one raises AttributeError
+        root = Path(__file__).resolve().parents[1]
+        code = (f"import sys; sys.path[:0] = [{str(root / 'perfbench')!r}, {str(root / 'src')!r}]\n"
+                "import tracer; tracer.install(tracer.Tracer('t'))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr

@@ -384,6 +384,9 @@ class TestCarryCounts:
         np.testing.assert_array_equal(out.counts, mult)
         np.testing.assert_array_equal(res.counts, mult[1:] if protect else mult)
         assert (res.iterations, res.loss) == (0, 0.0)
+        # every center is an input token; only the k-means family reports none
+        medoids = None if method == "kmeans" else list(range(4 - protect))
+        assert (None if res.medoid_indices is None else res.medoid_indices.tolist()) == medoids
 
 
 @st.composite
@@ -406,6 +409,7 @@ def test_pooled_counts_follow_input_counts(case):
     f, protect, k, seed = case
     for method in METHODS:
         out, _ = token_pool(f, PoolSpec(method, k, seed=seed, protect_first=protect))
+        assert out.weights is None
         assert (out.counts is None) == (f.counts is None)
         if f.counts is not None:
             assert (out.counts > 0).all()
