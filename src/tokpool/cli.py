@@ -358,7 +358,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

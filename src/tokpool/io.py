@@ -93,35 +93,42 @@ def _read_tpm(path: Path) -> np.ndarray:
     return data.astype(np.float64).reshape(rows, cols)
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+
+
 def _read_csv(path: Path) -> np.ndarray:
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
+    # newlines arrive translated to "\n", so these are the lines a file iterator yields
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise DataError(
+                f"{path}:{lineno}: row has {len(cells)} cells, expected {width}"
+            )
+        parsed = []
+        for col, cell in enumerate(cells, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
                 raise DataError(
-                    f"{path}:{lineno}: row has {len(cells)} cells, expected {width}"
+                    f"{path}:{lineno}: non-numeric cell {cell!r} in column {col}"
+                ) from None
+            if not np.isfinite(value):
+                raise DataError(
+                    f"{path}:{lineno}: non-finite cell {cell!r} in column {col}"
                 )
-            parsed = []
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: non-numeric cell {cell!r} in column {col}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise DataError(
-                        f"{path}:{lineno}: non-finite cell {cell!r} in column {col}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+            parsed.append(value)
+        rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: empty matrix file")
     return np.asarray(rows, dtype=np.float64)
@@ -185,14 +192,18 @@ def _config_from_dict(obj: dict, source: str) -> ModelConfig:
         raise DataError(f"{source}: {exc}") from None
 
 
-def read_config(path) -> ModelConfig:
-    path = Path(path)
+def _read_json(path: Path):
     if not path.is_file():
         raise DataError(f"{path}: no such file")
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
+
+
+def read_config(path) -> ModelConfig:
+    path = Path(path)
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise DataError(f"{path}: config must be a JSON object")
     return _config_from_dict(obj, str(path))
@@ -201,12 +212,7 @@ def read_config(path) -> ModelConfig:
 def read_schedule(path) -> list[int]:
     """Read a schedule-only file: a bare JSON array of token counts."""
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"{path}: no such file")
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from None
+    obj = _read_json(path)
     if not isinstance(obj, list) or not all(
         isinstance(k, int) and not isinstance(k, bool) for k in obj
     ):

@@ -144,9 +144,7 @@ def sample_without_replacement(rng: Rng, n: int, k: int, probs=None) -> np.ndarr
         r = uniforms[i] * cum[-1]
         idx = int(np.searchsorted(cum, r, side="right"))
         if idx >= n:  # r rounded up to total: take the last positive-mass entry
-            idx = n - 1
-            while remaining[idx] == 0.0:
-                idx -= 1
+            idx = int(np.flatnonzero(remaining)[-1])
         out[i] = idx
         remaining[idx] = 0.0
     return out

@@ -9,12 +9,14 @@ minimizes the nearest-retained-token reconstruction error
 (w_i = 1 unless a weighted method is used).
 
 Random and importance selection and random initialization share one sorted
-Plackett-Luce draw, ``_draw``. ``token_pool`` assembles every method's output
-the same way: a pooled set is the protected token plus the K centers (every
-clusterable token is its own center when K covers them all), with counts
-exactly when the input has them (each center's count sums its cluster's
-multiplicities) and no weights. ``random_select`` and ``importance_select``
-keep each survivor's own weight and count.
+Plackett-Luce draw, ``_draw``. ``token_pool`` assembles every method's output,
+grid included, the same way: a pooled set is the protected token plus the K
+centers (every clusterable token is its own center when K covers them all;
+grid's centers are its 2x2 patch means), with counts exactly when the input
+has them (each center's count sums its cluster's multiplicities) and no
+weights. Grid ignores ``protect_first``: its grid alone says whether a
+classification token leads. ``random_select`` and ``importance_select`` keep
+each survivor's own weight and count.
 
 Determinism rules: every argmin/argmax tie resolves to the lowest index.
 Every nearest-center search (k-means and k-medoids assignment, empty-cluster
@@ -169,24 +171,38 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
     With ``protect_first`` the first token passes through untouched, is
     excluded from clustering and from the reported loss, and does not count
     toward K. If K covers all clusterable tokens, each is its own center
-    (0 iterations, 0.0 loss) and the output goes through the same assembly:
-    the features come back unchanged. The pooled set carries counts exactly
-    when ``f`` does, and no weights.
+    (0 iterations, 0.0 loss). Grid pooling ignores K and ``protect_first``:
+    the token left over by ``f.grid`` passes through, and each 2x2 patch mean
+    is a center (1 iteration, chamfer loss). Every method's output goes
+    through the same assembly; the pooled set carries counts exactly when
+    ``f`` does, no weights, and the halved grid for grid pooling only.
     """
     if spec.method in _WEIGHTED and f.weights is None:
         raise UsageError(f"method {spec.method!r} requires token weights")
     if spec.method == "importance" and f.weights is None:
         raise UsageError("importance selection requires token weights (scores)")
-    if spec.method == "grid":
-        return _grid_result(f)
+    grid = spec.method == "grid"
+    if grid:
+        if f.grid is None:
+            raise UsageError("grid pooling requires a token grid")
+        h, w = f.grid
+        if h % 2 or w % 2:
+            raise UsageError(f"grid dims must be even to 2x2-pool, got {h}x{w}")
 
-    offset = 1 if spec.protect_first else 0
+    # grid's offset is 1 when a classification token precedes the grid
+    offset = f.n_tokens - h * w if grid else 1 if spec.protect_first else 0
     feats = np.ascontiguousarray(f.features[offset:])
     n_eff = feats.shape[0]
     mult = f.counts[offset:] if f.counts is not None else np.ones(n_eff)
     w_in = f.weights[offset:] if f.weights is not None else None
 
-    if spec.k >= n_eff:  # every token is its own center
+    if grid:  # each token belongs to its 2x2 patch, whose mean is the center
+        m = f.dim
+        centers = feats.reshape(h // 2, 2, w // 2, 2, m).mean(axis=(1, 3)).reshape(-1, m)
+        rr, cc = np.divmod(np.arange(n_eff), w)
+        labels = ((rr // 2) * (w // 2) + cc // 2).astype(np.int64)
+        medoids, iterations, loss = None, 1, chamfer_loss(feats, centers)
+    elif spec.k >= n_eff:  # every token is its own center
         labels = np.arange(n_eff, dtype=np.int64)
         centers, iterations, loss = feats.copy(), 0, 0.0
         medoids = None if spec.method in ("kmeans", "wkmeans") else labels.copy()
@@ -207,7 +223,8 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
 
     out_counts = None if f.counts is None else np.concatenate([f.counts[:offset], counts])
     features = np.concatenate([f.features[:offset], centers], axis=0)
-    return TokenSet(features, None, out_counts, None), result
+    out_grid = (h // 2, w // 2) if grid else None
+    return TokenSet(features, None, out_counts, out_grid), result
 
 
 def _select(f: TokenSet, k: int, seed: int, probs, protect_first: bool) -> TokenSet:
@@ -252,29 +269,4 @@ def importance_select(
 
 def grid_pool(f: TokenSet) -> TokenSet:
     """Mean-pool non-overlapping 2x2 grid patches; grid dims halve."""
-    out, _ = _grid_result(f)
-    return out
-
-
-def _grid_result(f: TokenSet):
-    if f.grid is None:
-        raise UsageError("grid pooling requires a token grid")
-    h, w = f.grid
-    if h % 2 or w % 2:
-        raise UsageError(f"grid dims must be even to 2x2-pool, got {h}x{w}")
-    offset = f.n_tokens - h * w  # 1 when a classification token is present
-    m = f.dim
-    body = f.features[offset:].reshape(h, w, m)
-    blocks = body.reshape(h // 2, 2, w // 2, 2, m)
-    pooled = blocks.mean(axis=(1, 3)).reshape(-1, m)
-
-    # structural assignment: each body token belongs to its 2x2 block
-    rr, cc = np.divmod(np.arange(h * w), w)
-    labels = ((rr // 2) * (w // 2) + cc // 2).astype(np.int64)
-    base = f.counts[offset:] if f.counts is not None else np.ones(h * w)
-    counts = np.bincount(labels, weights=base, minlength=pooled.shape[0])
-    out_counts = None if f.counts is None else np.concatenate([f.counts[:offset], counts])
-    rows = np.concatenate([f.features[:offset], pooled], axis=0)
-    out = TokenSet(rows, None, out_counts, (h // 2, w // 2))
-    loss = chamfer_loss(f.features[offset:], pooled, None)
-    return out, ClusterResult(labels, pooled, 1, loss, counts, None)
+    return token_pool(f, PoolSpec("grid", 1))[0]

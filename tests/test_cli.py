@@ -544,7 +544,36 @@ class TestVerifyFilter:
         assert err.startswith("usage error:")
 
 
+FILE_ERROR_ARGV = [
+    # (argv, the file the one stderr line must name); {d} is a scratch directory
+    (["pool", "--input", "{d}/in.tpm", "--k", "2", "--method", "kmeans",
+      "--out", "{d}/missing/o.tpm"], "{d}/missing/o.tpm"),
+    (["pool", "--input", "{d}/in.tpm", "--k", "2", "--method", "kmeans",
+      "--out", "{d}/o.tpm", "--assignments", "{d}/missing/a.json"], "{d}/missing/a.json"),
+    (["forward", "--config", "{d}/cfg.json", "--input", "{d}/in.tpm", "--seed", "0",
+      "--out", "{d}/o.tpm", "--trace", "{d}/missing/t.json"], "{d}/missing/t.json"),
+    (["cost", "--config", "{d}/utf16.json"], "{d}/utf16.json"),
+    (["pool", "--input", "{d}/latin1.csv", "--k", "1", "--method", "kmeans",
+      "--out", "{d}/o.tpm"], "{d}/latin1.csv"),
+]
+
+
 class TestArgHandling:
+    @pytest.mark.parametrize("argv, named", FILE_ERROR_ARGV,
+                             ids=["pool-out", "pool-assignments", "forward-trace",
+                                  "cost-config-not-utf8", "pool-csv-not-utf8"])
+    def test_file_error_is_one_line_data_error(self, capsys, tmp_path, argv, named):
+        tpio.write_matrix(tmp_path / "in.tpm", np.random.default_rng(0).normal(size=(10, 16)))
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"layers": 1, "dim": 16, "heads": 4, "tokens": 10}))
+        (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{\x00}\x00")
+        (tmp_path / "latin1.csv").write_bytes(b"\xff1,2\n3,4\n")
+        d = str(tmp_path)
+        code, _, err = run_cli(capsys, *(a.format(d=d) for a in argv))
+        assert code == 2
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert named.format(d=d) in err and "Traceback" not in err
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "cost", "--config", DEIT_S_CONFIG, "--bogus")
         assert code == 1 and "usage error" in err

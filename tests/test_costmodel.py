@@ -114,6 +114,19 @@ class TestModelFlops:
         assert 0.05e9 <= kmed <= 0.2e9
         assert 0.2e9 <= kmeans <= 0.8e9
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(layers=0), "layers, dim, heads and tokens must be positive"),
+        (dict(dim=0), "layers, dim, heads and tokens must be positive"),
+        (dict(heads=0), "layers, dim, heads and tokens must be positive"),
+        (dict(tokens=0), "layers, dim, heads and tokens must be positive"),
+        (dict(mlp_ratio=0), "mlp_ratio must be positive"),
+        (dict(schedule=(4, -1)), "schedule entries must be >= 0"),
+        (dict(mode="bogus"), "unknown mode 'bogus'"),
+    ])
+    def test_rejects_bad_fields(self, kwargs, message):
+        with pytest.raises(UsageError, match=message):
+            ModelConfig(**{**dict(layers=2, dim=8, heads=2, tokens=5), **kwargs})
+
     def test_schedule_length_validated(self):
         with pytest.raises(UsageError):
             ModelConfig(layers=12, dim=384, heads=6, tokens=197, schedule=(1, 2, 3))
@@ -136,6 +149,15 @@ class TestClusteringFlops:
     def test_bad_method(self):
         with pytest.raises(UsageError):
             clustering_flops(10, 4, 8, "dbscan")
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: clustering_flops(10, 4, 8, "kmeans", 0), "max_iters must be >= 1"),
+        (lambda: model_flops(DEIT_S, "dbscan"), "unknown clustering method 'dbscan'"),
+        (lambda: model_flops(DEIT_S, "kmeans", 0), "clustering_iters must be >= 1"),
+    ], ids=["clustering-iters", "model-method", "model-iters"])
+    def test_bad_arguments(self, call, message):
+        with pytest.raises(UsageError, match=message):
+            call()
 
 
 class TestBreakdownFractions:

@@ -108,6 +108,21 @@ class TestValidation:
                 alpha=1.0,
             )
 
+    @pytest.mark.parametrize("shapes, message", [
+        (((2, 3), (2, 4), (2, 2)), "query and key dims differ"),
+        (((2, 3), (2, 3), (3, 2)), "need one value row per key row"),
+    ])
+    def test_probe_rejects_mismatched_shapes(self, shapes, message):
+        rng = np.random.default_rng(8)
+        q, k, v = (rng.normal(size=s) for s in shapes)
+        with pytest.raises(UsageError, match=message):
+            FilterProbe(queries=unit_rows(q), keys=unit_rows(k), values=v, alpha=1.0)
+
+    @pytest.mark.parametrize("n, m", [(0, 4), (4, 0)])
+    def test_empty_random_probe(self, n, m):
+        with pytest.raises(UsageError, match="n and m must be >= 1"):
+            FilterProbe.random(n, m, alpha=1.0, seed=0)
+
     def test_bad_alpha(self):
         k = unit_rows(np.random.default_rng(7).normal(size=(2, 3)))
         with pytest.raises(UsageError):

@@ -121,6 +121,10 @@ class TestMatmul:
         with pytest.raises(DataError):
             matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
+    def test_operand_must_be_2d(self):
+        with pytest.raises(UsageError, match=r"matmul lhs must be 2-D, got shape \(3,\)"):
+            matmul(np.zeros(3), np.zeros((3, 1)))
+
 
 class TestRng:
     def test_same_seed_same_stream(self):
@@ -139,6 +143,13 @@ class TestRng:
         draws = Rng(123).normal(200_000)
         assert abs(draws.mean()) < 3.0 / np.sqrt(draws.size)
         assert abs(draws.std() - 1.0) < 0.01
+
+    def test_scalar_u64_is_the_first_of_the_stream(self):
+        assert Rng(11).u64() == int(Rng(11).u64(1)[0])
+
+    def test_negative_child_index(self):
+        with pytest.raises(UsageError, match="child index must be nonnegative"):
+            derive_seed(77, -1)
 
     def test_spawn_independent(self):
         parent = Rng(77)
@@ -162,6 +173,22 @@ class TestSampleWithoutReplacement:
         for seed in range(50):
             idx = sample_without_replacement(Rng(seed), 3, 2, probs=[1.0, 0.0, 1.0])
             assert 1 not in idx.tolist()
+
+    @pytest.mark.parametrize("probs, pick", [([0.0, 0.0, 5e-324], 2), ([5e-324, 0.0, 0.0], 0)])
+    def test_draw_rounded_up_to_the_total_takes_last_positive_entry(self, probs, pick):
+        # the subnormal total times Rng(0)'s first uniform rounds back up to the
+        # total, so searchsorted lands one past the last index
+        assert Rng(0).random(1)[0] * 5e-324 == 5e-324
+        assert sample_without_replacement(Rng(0), 3, 1, probs=probs).tolist() == [pick]
+
+    @pytest.mark.parametrize("n, k, probs, message", [
+        (-1, 0, None, "n and k must be nonnegative"),
+        (3, -1, None, "n and k must be nonnegative"),
+        (3, 1, [1.0, 1.0], "probs must have length 3"),
+    ])
+    def test_bad_arguments(self, n, k, probs, message):
+        with pytest.raises(UsageError, match=message):
+            sample_without_replacement(Rng(0), n, k, probs)
 
     def test_k_greater_than_n(self):
         with pytest.raises(UsageError):

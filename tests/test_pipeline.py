@@ -151,6 +151,9 @@ def test_schedule_alone_turns_pooling_on():
     (dict(pool_init="kmeans++"), "unknown init"),
     (dict(pool_iters=0), "max_iters must be >= 1"),
     (dict(protect_first=False), "schedule entry 0 requires a protected token"),
+    (dict(blocks=_desk()[1][:2]), "got 2 blocks for 3 layers"),
+    (dict(tokens=TokenSet(np.ones((6, 4)))), "token dim 4 != config dim 8"),
+    (dict(tokens=TokenSet(np.ones((5, 8)))), "input has 5 tokens, config says 6"),
 ])
 def test_rejected_before_any_block(monkeypatch, kwargs, message):
     calls = []
@@ -165,5 +168,5 @@ def test_rejected_before_any_block(monkeypatch, kwargs, message):
     assert len(calls) == 3
     calls.clear()
     with pytest.raises(UsageError, match=message):
-        run_forward(tokens, blocks, config, **kwargs)
+        run_forward(**{"tokens": tokens, "blocks": blocks, "config": config, **kwargs})
     assert calls == []

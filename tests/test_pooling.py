@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -90,6 +91,18 @@ class TestChamferLoss:
     def test_dim_mismatch(self):
         with pytest.raises(DataError):
             chamfer_loss(np.zeros((2, 2)), np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("fhat, weights, error, message", [
+        (np.zeros((0, 2)), None, UsageError, "need at least one retained token"),
+        (np.zeros((1, 2)), [1.0, 2.0, 3.0], UsageError, "weights length 3 != 2 tokens"),
+    ])
+    def test_rejects_bad_arguments(self, fhat, weights, error, message):
+        with pytest.raises(error, match=message):
+            chamfer_loss(np.zeros((2, 2)), fhat, weights)
+
+    def test_token_set_weights_weigh_the_loss(self):
+        f = TokenSet(np.array([[1.0], [2.0], [3.0]]), weights=[1.0, 2.0, 3.0])
+        assert chamfer_loss(f, np.array([[2.0]])) == pytest.approx(4.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +505,23 @@ class TestImportanceSelect:
         out = importance_select(f, np.ones(4), 4, seed=0, protect_first=False)
         np.testing.assert_array_equal(out.features, f.features)
 
+    @pytest.mark.parametrize("scores, error, message", [
+        ([1.0, 1.0], UsageError, "scores length 2 != 3 tokens"),
+        ([1.0, -1.0, 1.0], DataError, "scores must be finite and nonnegative"),
+        ([1.0, np.nan, 1.0], DataError, "scores must be finite and nonnegative"),
+    ])
+    def test_bad_scores_rejected(self, scores, error, message):
+        with pytest.raises(error, match=message):
+            importance_select(TokenSet(np.ones((3, 2))), scores, 1, seed=0)
+
+    @pytest.mark.parametrize("select", [
+        random_select,
+        lambda f, k, seed: importance_select(f, np.ones(f.n_tokens), k, seed),
+    ], ids=["random", "importance"])
+    def test_k_below_one_rejected(self, select):
+        with pytest.raises(UsageError, match="k must be >= 1"):
+            select(TokenSet(np.ones((3, 2))), 0, 0)
+
     def test_zero_scores_rejected(self):
         f = TokenSet(np.ones((3, 2)))
         with pytest.raises(DataError):
@@ -571,6 +601,82 @@ class TestGridPool:
         assert out.features.tolist() == [[1.5]]
         assert res.assignment.tolist() == [0, 0, 0, 0]
         assert res.counts.tolist() == [4.0]
+
+
+def reference_grid_result(f):
+    """Grid pooling as its own path, before it joined ``token_pool``'s assembly."""
+    if f.grid is None:
+        raise UsageError("grid pooling requires a token grid")
+    h, w = f.grid
+    if h % 2 or w % 2:
+        raise UsageError(f"grid dims must be even to 2x2-pool, got {h}x{w}")
+    offset = f.n_tokens - h * w  # 1 when a classification token is present
+    m = f.dim
+    body = f.features[offset:].reshape(h, w, m)
+    blocks = body.reshape(h // 2, 2, w // 2, 2, m)
+    pooled = blocks.mean(axis=(1, 3)).reshape(-1, m)
+
+    # structural assignment: each body token belongs to its 2x2 block
+    rr, cc = np.divmod(np.arange(h * w), w)
+    labels = ((rr // 2) * (w // 2) + cc // 2).astype(np.int64)
+    base = f.counts[offset:] if f.counts is not None else np.ones(h * w)
+    counts = np.bincount(labels, weights=base, minlength=pooled.shape[0])
+    out_counts = None if f.counts is None else np.concatenate([f.counts[:offset], counts])
+    rows = np.concatenate([f.features[:offset], pooled], axis=0)
+    out = TokenSet(rows, None, out_counts, (h // 2, w // 2))
+    loss = chamfer_loss(f.features[offset:], pooled, None)
+    return out, ClusterResult(labels, pooled, 1, loss, counts, None)
+
+
+def _bits(value):
+    """A comparable form that tells arrays apart by dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return type(value), value
+
+
+def _grid_outcome(fn, *args):
+    try:
+        out, res = fn(*args)
+    except (UsageError, DataError) as exc:
+        return type(exc), str(exc)
+    pooled = [_bits(getattr(out, name)) for name in ("features", "weights", "counts", "grid")]
+    return pooled, [_bits(getattr(res, fld.name)) for fld in dataclasses.fields(res)]
+
+
+@st.composite
+def grid_cases(draw):
+    """Grids from 1x1 to 8x8 (odd dims and a missing grid must raise alike),
+    with or without a classification token, counts, weights, integer-valued
+    features (chamfer ties) and Fortran-ordered features."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    if draw(st.integers(0, 3)):  # mostly even, so most cases pool
+        h, w = 2 * -(-h // 2), 2 * -(-w // 2)
+    n = h * w + draw(st.booleans())
+    feats = rng.normal(size=(n, draw(st.integers(1, 5))))
+    if draw(st.booleans()):
+        feats = np.round(feats)
+    if draw(st.booleans()):
+        feats = np.asfortranarray(feats)
+    counts = rng.uniform(0.1, 5.0, size=n) if draw(st.booleans()) else None
+    weights = rng.uniform(0.0, 3.0, size=n) if draw(st.booleans()) else None
+    grid = (h, w) if draw(st.integers(0, 5)) else None
+    spec = PoolSpec("grid", draw(st.integers(1, n + 1)), protect_first=draw(st.booleans()))
+    return TokenSet(feats, weights, counts, grid), spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_cases())
+def test_grid_matches_its_own_path(case):
+    # grid ignores K and protect_first; only the token set decides its output
+    f, spec = case
+    got = _grid_outcome(token_pool, f, spec)
+    # the old path's patch means followed the memory layout (a Fortran-ordered
+    # input summed in another order); the fold means a C-ordered copy
+    c_order = dataclasses.replace(f, features=np.ascontiguousarray(f.features))
+    assert got == _grid_outcome(token_pool, c_order, spec)
+    assert got == _grid_outcome(reference_grid_result, c_order)
 
 
 class TestSpecValidation:

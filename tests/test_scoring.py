@@ -56,6 +56,15 @@ def test_rejects_non_stochastic():
         significance(maps)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25], ids=["nan", "inf", "negative"])
+def test_rejects_non_finite_or_negative_maps(bad):
+    maps = np.full((2, 3, 3), 1.0 / 3.0)
+    maps[1, 2, 0] = bad
+    message = "negative entries" if bad < 0 else "non-finite entries"
+    with pytest.raises(DataError, match=message):
+        significance(maps)
+
+
 def test_rejects_bad_shape():
     with pytest.raises(UsageError):
         significance(np.zeros((2, 3, 4)))

@@ -89,6 +89,10 @@ class TestMsaForward:
         carried = attention_maps(TokenSet(feats, counts=counts), w, mode="carry")
         assert (carried[:, :, 2] > plain[:, :, 2]).all()
 
+    def test_unknown_mode(self):
+        with pytest.raises(UsageError, match="unknown attention mode 'bogus'"):
+            block_forward_detailed(make_tokens(3, 8, seed=4), make_block(8, 2, seed=4), mode="bogus")
+
     def test_dim_mismatch(self):
         w = make_block(8, 2, seed=12)
         with pytest.raises(UsageError):
@@ -138,6 +142,19 @@ class TestBlockWeightsValidation:
         parts[name].flat[3] = math.nan
         with pytest.raises(DataError, match=f"{name} contains non-finite entries"):
             BlockWeights(**parts)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda p: dict(wq=p["wq"][0]), r"wq must be \(heads, dim, head_dim\)"),
+        (lambda p: dict(wk=p["wk"][:, :, :2]), "wq, wk, wv shapes differ"),
+        (lambda p: {n: np.concatenate([p[n]] * 3) for n in ("wq", "wk", "wv")},
+         r"heads\*head_dim 6\*4 != dim 8"),
+        (lambda p: dict(wo=p["wo"][:, :4]), "wo must be 8x8"),
+    ], ids=["wq-2d", "qkv-differ", "heads-times-head-dim", "wo"])
+    def test_shapes_must_agree(self, change, message):
+        w = make_block(8, 2, seed=19)
+        parts = {n: getattr(w, n) for n in ("wq", "wk", "wv", "wo", "mlp1", "mlp2")}
+        with pytest.raises(UsageError, match=message):
+            BlockWeights(**{**parts, **change(parts)})
 
 
 class TestAttentionMaps:
@@ -262,6 +279,16 @@ class TestTokenSetValidation:
         TokenSet(np.ones((2, 2)), weights=[1.0, 0.0])  # an attention score that underflowed
         with pytest.raises(DataError, match="^counts must be finite and positive$"):
             TokenSet(np.ones((2, 2)), counts=[1.0, 0.0])
+
+    @pytest.mark.parametrize("features, kwargs, message", [
+        (np.ones((0, 2)), {}, "a token set needs at least one token"),
+        (np.ones((3, 2)), dict(weights=[1.0, 1.0]), "weights length 2 != 3 tokens"),
+        (np.ones((3, 2)), dict(counts=[1.0] * 4), "counts length 4 != 3 tokens"),
+        (np.ones((4, 2)), dict(grid=(0, 4)), "grid dims must be positive"),
+    ])
+    def test_rejects_bad_fields(self, features, kwargs, message):
+        with pytest.raises(UsageError, match=message):
+            TokenSet(features, **kwargs)
 
     def test_grid_must_cover_tokens(self):
         with pytest.raises(UsageError):
