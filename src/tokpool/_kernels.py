@@ -247,7 +247,7 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     k = b.shape[0]
     out = np.empty((n, k), dtype=np.float64)
     cols = max(1, min(k, _BLOCK // max(1, m)))
-    rows = max(1, _BLOCK // max(1, cols * m))
+    rows = max(1, min(n, _BLOCK // max(1, cols * m)))
     buf = np.empty(rows * cols * m)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)

@@ -3,7 +3,10 @@
 TPM1 matrix files: 4 ASCII magic bytes ``TPM1``, then rows and cols as
 unsigned 32-bit little-endian integers, then rows*cols IEEE-754 32-bit
 little-endian floats in row-major order. File length is exactly
-``12 + 4*rows*cols`` bytes. Values are widened to float64 in memory.
+``12 + 4*rows*cols`` bytes. A TPM1 matrix is read as a writable float32
+array, the file's own type; every reader widens it to float64 before its
+arithmetic (a float64 @ float32 product widens the float32 operand exactly,
+so the bits are those of a float64 matrix). CSV matrices are read as float64.
 
 CSV matrix files (``.csv``): comma-separated, no header, one row per line.
 
@@ -16,6 +19,7 @@ Schedule-only files are a bare JSON array.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -59,7 +63,7 @@ def write_matrix(path, m) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a TPM1 or CSV matrix; values are widened to float64."""
+    """Read a TPM1 matrix as writable float32 or a CSV matrix as float64."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{path}: no such file")
@@ -71,7 +75,9 @@ def read_matrix(path) -> np.ndarray:
 
 
 def _read_tpm(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
+    with open(path, "rb") as fh:
+        raw = bytearray(os.fstat(fh.fileno()).st_size)  # writable, unlike bytes
+        del raw[fh.readinto(raw):]
     if len(raw) < _HEADER.size:
         raise DataError(f"{path}: truncated header ({len(raw)} bytes, need 12)")
     magic, rows, cols = _HEADER.unpack_from(raw)
@@ -90,7 +96,7 @@ def _read_tpm(path: Path) -> np.ndarray:
         raise DataError(
             f"{path}: non-finite value at element {i} (byte offset {12 + 4 * i})"
         )
-    return data.astype(np.float64).reshape(rows, cols)
+    return data.reshape(rows, cols)
 
 
 def _read_text(path: Path) -> str:

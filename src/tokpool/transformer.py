@@ -80,9 +80,30 @@ class TokenSet:
         )
 
 
+def _weight_array(value, name: str, ndim: int) -> np.ndarray:
+    """float32 as given, anything else as float64; ``ndim``-D and finite."""
+    arr = np.asarray(value)
+    if arr.dtype != np.float32:
+        arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim != ndim:
+        raise UsageError(
+            f"{name} must be (heads, dim, head_dim)" if ndim == 3
+            else f"{name} must be 2-D, got shape {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise DataError(f"{name} contains non-finite entries")
+    return arr
+
+
 @dataclass
 class BlockWeights:
-    """One block's parameters. Per-head projections are stacked (H, M, d)."""
+    """One block's parameters. Per-head projections are stacked (H, M, d).
+
+    float32 arrays are kept as given (a ``--weights-dir`` load stays at its
+    files' size); any other dtype is widened to float64. Each product with
+    float64 activations widens its float32 weight exactly, one matmul at a
+    time, so the result has the bits of float64-held weights.
+    """
 
     wq: np.ndarray
     wk: np.ndarray
@@ -94,20 +115,14 @@ class BlockWeights:
 
     def __post_init__(self):
         for name in ("wq", "wk", "wv"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 3:
-                raise UsageError(f"{name} must be (heads, dim, head_dim)")
-            if not np.isfinite(arr).all():
-                raise DataError(f"{name} contains non-finite entries")
-            setattr(self, name, arr)
+            setattr(self, name, _weight_array(getattr(self, name), name, 3))
         if not (self.wq.shape == self.wk.shape == self.wv.shape):
             raise UsageError("wq, wk, wv shapes differ")
         h, m, d = self.wq.shape
         if h * d != m:
             raise UsageError(f"heads*head_dim {h}*{d} != dim {m}")
-        self.wo = as_matrix(self.wo, "wo")
-        self.mlp1 = as_matrix(self.mlp1, "mlp1")
-        self.mlp2 = as_matrix(self.mlp2, "mlp2")
+        for name in ("wo", "mlp1", "mlp2"):
+            setattr(self, name, _weight_array(getattr(self, name), name, 2))
         if self.wo.shape != (m, m):
             raise UsageError(f"wo must be {m}x{m}, got {self.wo.shape}")
         if self.mlp1.shape[0] != m or self.mlp2.shape != (self.mlp1.shape[1], m):
@@ -163,7 +178,8 @@ def _msa_detail(features: np.ndarray, counts, w: BlockWeights, mode: str):
     """All heads as one ``(H, ...)`` batch: the projected output and the detail."""
     h, _, d = w.wq.shape
     # One BLAS product per head, with the operands a per-head loop would use,
-    # so the batch reproduces the loop bit for bit.
+    # so the batch reproduces the loop bit for bit. A float32 weight is widened
+    # exactly for its own product, so every product is the float64 dgemm.
     q, k = features @ w.wq, features @ w.wk
     if mode == "normalized_alpha":
         qn = np.linalg.norm(q, axis=2, keepdims=True)

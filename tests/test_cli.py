@@ -15,6 +15,7 @@ from tokpool.numerics import Rng
 from conftest import FIXTURES
 
 DEIT_S_CONFIG = str(FIXTURES / "configs" / "deit-s.json")
+_NAMES = ("wq", "wk", "wv", "wo", "mlp1", "mlp2")
 
 
 def run_cli(capsys, *argv):
@@ -361,6 +362,59 @@ class TestForward:
         got = tpio.read_matrix(out_dir_run)
         assert got.shape == (10, 16)
         assert np.isfinite(got).all()
+
+    @pytest.mark.parametrize("mode, schedule, method", [
+        ("standard", [6, 3, 2], "kmedoids"), ("carry", [7, 0, 0], "wkmedoids"),
+        ("normalized_alpha", [5, 4, 1], "kmeans"), ("standard", None, "kmedoids"),
+    ])
+    def test_weights_dir_run_equals_its_float64_widening(self, tmp_path, mode, schedule, method):
+        from tokpool.cli import _load_weights_dir
+        from tokpool.costmodel import ModelConfig
+        from tokpool.pipeline import run_forward
+        from tokpool.transformer import BlockWeights, TokenSet, synth_weights
+
+        config = ModelConfig(layers=3, dim=16, heads=4, tokens=10, schedule=schedule,
+                             mode=mode, alpha=3.0)
+        wdir = tmp_path / "weights"
+        write_weights_dir(wdir, synth_weights(config, 11))
+        held = _load_weights_dir(str(wdir), config)
+        assert all(getattr(w, n).dtype == np.float32 for w in held for n in _NAMES)
+        widened = [BlockWeights(**{n: getattr(w, n).astype(np.float64) for n in _NAMES},
+                                alpha=w.alpha) for w in held]
+        tokens = TokenSet(np.random.default_rng(12).normal(size=(10, 16)))
+        got, got_traces = run_forward(tokens, held, config, pool_method=method, pool_seed=5)
+        want, want_traces = run_forward(tokens, widened, config, pool_method=method, pool_seed=5)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert (got.counts is None) == (want.counts is None)
+        if got.counts is not None:
+            assert got.counts.tobytes() == want.counts.tobytes()
+        assert got_traces == want_traces
+
+    def test_weights_dir_run_holds_weights_as_float32(self, tmp_path):
+        # the peak is the float32 weights plus about one layer's float64
+        # products; holding every layer as float64 would double the weights
+        import tracemalloc
+
+        from tokpool.cli import _load_weights_dir
+        from tokpool.costmodel import ModelConfig
+        from tokpool.pipeline import run_forward
+        from tokpool.transformer import TokenSet, synth_weights
+
+        m, layers = 64, 12
+        config = ModelConfig(layers=layers, dim=m, heads=4, tokens=16,
+                             schedule=[12, 8] * (layers // 2))
+        wdir = tmp_path / "weights"
+        write_weights_dir(wdir, synth_weights(config, 2))
+        tokens = TokenSet(np.random.default_rng(3).normal(size=(16, m)))
+        layer_params = 12 * m * m  # q, k, v, o, and two m x 4m MLP matrices
+        tracemalloc.start()
+        try:
+            blocks = _load_weights_dir(str(wdir), config)
+            run_forward(tokens, blocks, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= layers * layer_params * 4 + 2 * layer_params * 8, peak
 
     @pytest.mark.parametrize("name, shape, message", [
         ("wq", (16, 8), "wq of layer 0 must be 16x16"),

@@ -32,6 +32,24 @@ class TestMatrixRoundTrip:
         tpio.write_matrix(path, m)
         np.testing.assert_array_equal(tpio.read_matrix(path), m)
 
+    def test_tpm_reads_as_writable_float32(self, tmp_path):
+        # the file's own type: weights stay at their file size until a matmul
+        m = np.random.default_rng(3).normal(size=(3, 4))
+        path = tmp_path / "m.tpm"
+        tpio.write_matrix(path, m)
+        back = tpio.read_matrix(path)
+        assert back.dtype == np.float32 and back.shape == (3, 4)
+        assert back.flags.writeable
+        np.testing.assert_array_equal(back, m.astype(np.float32))
+        back[0, 0] = 7.0  # the array owns its buffer, not a read-only bytes object
+
+    def test_csv_reads_as_float64(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0.1,2\n3,4\n")
+        back = tpio.read_matrix(path)
+        assert back.dtype == np.float64
+        np.testing.assert_array_equal(back, [[0.1, 2.0], [3.0, 4.0]])
+
     def test_golden_byte_layout(self, tmp_path):
         path = tmp_path / "g.tpm"
         tpio.write_matrix(path, [[1.0, 2.0], [3.0, 4.0]])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokpool.costmodel import ModelConfig
 from tokpool.errors import DataError, UsageError
@@ -155,6 +157,68 @@ class TestBlockWeightsValidation:
         parts = {n: getattr(w, n) for n in ("wq", "wk", "wv", "wo", "mlp1", "mlp2")}
         with pytest.raises(UsageError, match=message):
             BlockWeights(**{**parts, **change(parts)})
+
+
+WEIGHT_NAMES = ("wq", "wk", "wv", "wo", "mlp1", "mlp2")
+
+
+class TestFloat32Weights:
+    @pytest.mark.parametrize("dtype, held", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float16, np.float64), (np.int64, np.float64), (">f4", np.float64),
+    ])
+    def test_float32_kept_other_dtypes_widened(self, dtype, held):
+        w = make_block(8, 2, seed=30)
+        parts = {n: getattr(w, n).astype(dtype) for n in WEIGHT_NAMES}
+        kept = BlockWeights(**parts)
+        for name in WEIGHT_NAMES:
+            assert getattr(kept, name).dtype == held
+            np.testing.assert_array_equal(getattr(kept, name), parts[name])
+
+    @pytest.mark.parametrize("name", WEIGHT_NAMES)
+    def test_float32_weights_checked_like_float64(self, name):
+        w = make_block(8, 2, seed=31)
+        parts = {n: getattr(w, n).astype(np.float32) for n in WEIGHT_NAMES}
+        parts[name].flat[2] = np.inf
+        with pytest.raises(DataError, match=f"{name} contains non-finite entries"):
+            BlockWeights(**parts)
+        parts[name] = parts[name][0]
+        with pytest.raises(UsageError, match=f"{name} must be "):
+            BlockWeights(**parts)
+
+
+@st.composite
+def float32_block_cases(draw):
+    heads = draw(st.integers(1, 4))
+    m = heads * draw(st.integers(1, 8))
+    n = draw(st.integers(1, 12))
+    hidden = m * draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0 / np.sqrt(m), 4.0]))
+    shapes = dict(wq=(heads, m, m // heads), wk=(heads, m, m // heads),
+                  wv=(heads, m, m // heads), wo=(m, m), mlp1=(m, hidden), mlp2=(hidden, m))
+    parts = {k: (rng.normal(size=s) * scale).astype(np.float32) for k, s in shapes.items()}
+    mode = draw(st.sampled_from(["standard", "normalized_alpha", "carry"]))
+    counts = rng.integers(1, 5, size=n).astype(np.float64) if mode == "carry" else None
+    tokens = TokenSet(rng.normal(size=(n, m)) * draw(st.sampled_from([0.5, 3.0])),
+                      counts=counts)
+    return tokens, parts, mode, draw(st.booleans()), draw(st.sampled_from([None, 2.5]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(float32_block_cases())
+def test_float32_weights_give_the_bits_of_their_float64_widening(case):
+    tokens, parts, mode, norm_and_skip, alpha = case
+    held = BlockWeights(**parts, alpha=alpha)
+    widened = BlockWeights(**{k: v.astype(np.float64) for k, v in parts.items()}, alpha=alpha)
+    assert all(getattr(held, k).dtype == np.float32 for k in WEIGHT_NAMES)
+    got, got_detail = block_forward_detailed(tokens, held, mode, norm_and_skip)
+    want, want_detail = block_forward_detailed(tokens, widened, mode, norm_and_skip)
+    for a, b in [(got.features, want.features), (got_detail.maps, want_detail.maps),
+                 (got_detail.head_values, want_detail.head_values),
+                 (got_detail.head_outputs, want_detail.head_outputs)]:
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 class TestAttentionMaps:
