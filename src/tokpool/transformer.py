@@ -160,9 +160,13 @@ def layer_norm(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """tanh-form GELU."""
+    """tanh-form GELU (Hendrycks & Gimpel, arXiv 1606.08415).
+
+    The cube is two multiplies: ``x ** 3`` is one ``pow`` call per element,
+    which costs several times the rest of the formula.
+    """
     c = np.sqrt(2.0 / np.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
+    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x * x * x)))
 
 
 def _check_mode(tokens: TokenSet, w: BlockWeights, mode: str) -> None:

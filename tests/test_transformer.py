@@ -264,6 +264,30 @@ class TestConvexityProperties:
                 assert spread_o <= spread_v + 1e-9
 
 
+class TestGelu:
+    @staticmethod
+    def pow_form(x):
+        c = np.sqrt(2.0 / np.pi)
+        return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
+
+    def test_within_4_ulp_of_the_pow_form(self):
+        rng = np.random.default_rng(40)
+        x = np.concatenate([np.linspace(-40.0, 40.0, 80_001), rng.uniform(-40, 40, 100_000),
+                            rng.uniform(-6, 6, 100_000)])
+        got, want = gelu(x), self.pow_form(x)
+        # On x >= 0, 1 + tanh is in [1, 2] and the ulps are the output's own.
+        # Below zero, 1 + tanh cancels, so one ulp in the cube can move the
+        # output by thousands of its ulps; there the bound is in ulps of |x|.
+        pos = x >= 0
+        assert (np.abs(got - want)[pos] <= 4 * np.spacing(want[pos])).all()
+        assert (np.abs(got - want) <= 4 * np.spacing(np.abs(x))).all()
+
+    def test_exact_zero_at_zero(self):
+        zero = np.zeros(3)
+        assert gelu(zero).tobytes() == zero.tobytes()
+        assert self.pow_form(zero).tobytes() == zero.tobytes()
+
+
 class TestBlockForward:
     def test_token_count_unchanged(self):
         w = make_block(8, 2, seed=24)
