@@ -9,6 +9,7 @@ Identical argv (including seeds) produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -201,6 +202,25 @@ def _read_tokens(path) -> np.ndarray:
     return feats
 
 
+def _write_outputs(outputs) -> None:
+    """Write each (path, matrix or text) in order. If a write fails, remove the
+    files already written first, so a failed run leaves no complete-looking output."""
+    written = []
+    try:
+        for path, content in outputs:
+            if isinstance(content, str):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(content)
+            else:
+                tpio.write_matrix(path, content)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _cmd_pool(args) -> int:
     feats = _read_tokens(args.input)
     n = feats.shape[0]
@@ -231,7 +251,7 @@ def _cmd_pool(args) -> int:
         protect_first=not args.no_protect_first,
     )
     pooled, result = pooling.token_pool(tokens, spec)
-    tpio.write_matrix(args.out, pooled.features)
+    outputs = [(args.out, pooled.features)]
     if args.assignments:
         record = {
             "method": args.method,
@@ -246,9 +266,8 @@ def _cmd_pool(args) -> int:
             ),
             "counts": [float(v) for v in result.counts],
         }
-        with open(args.assignments, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
+        outputs.append((args.assignments, json.dumps(record, indent=2) + "\n"))
+    _write_outputs(outputs)
     return 0
 
 
@@ -309,14 +328,13 @@ def _cmd_forward(args) -> int:
         pool_seed=0 if args.seed is None else args.seed,
         protect_first=not args.no_protect_first,
     )
-    tpio.write_matrix(args.out, final.features)
+    outputs = [(args.out, final.features)]
     if args.trace:
         if args.trace.endswith(".csv"):  # plotting-friendly flat form
             lines = [",".join(field.name for field in dataclasses.fields(pipeline.LayerTrace))]
             for t in traces:
                 lines.append(",".join("" if v is None else str(v) for v in dataclasses.astuple(t)))
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
+            text = "\n".join(lines) + "\n"
         else:
             payload = {
                 "mode": config.mode,
@@ -324,9 +342,9 @@ def _cmd_forward(args) -> int:
                 "final_tokens": final.n_tokens,
                 "layers": [dataclasses.asdict(t) for t in traces],
             }
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+            text = json.dumps(payload, indent=2) + "\n"
+        outputs.append((args.trace, text))
+    _write_outputs(outputs)
     return 0
 
 

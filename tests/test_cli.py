@@ -628,6 +628,26 @@ class TestArgHandling:
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert named.format(d=d) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["pool", "--input", "{d}/in.tpm", "--k", "4", "--method", "kmeans",
+         "--out", "{d}/o.tpm", "--assignments", "{d}/nodir/a.json"],
+        ["forward", "--config", "{d}/cfg.json", "--input", "{d}/in.tpm", "--seed", "0",
+         "--out", "{d}/o.tpm", "--trace", "{d}/nodir/t.json"],
+        ["forward", "--config", "{d}/cfg.json", "--input", "{d}/in.tpm", "--seed", "0",
+         "--out", "{d}/o.tpm", "--trace", "{d}/nodir/t.csv"],
+    ], ids=["pool-assignments", "forward-trace", "forward-trace-csv"])
+    def test_failed_output_write_leaves_no_output(self, capsys, tmp_path, argv):
+        # --out is written first; a later write that fails takes it back
+        tpio.write_matrix(tmp_path / "in.tpm", np.random.default_rng(0).normal(size=(10, 16)))
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"layers": 2, "dim": 16, "heads": 4, "tokens": 10, "schedule": [6, 3]}))
+        d = str(tmp_path)
+        code, out, err = run_cli(capsys, *(a.format(d=d) for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o.tpm").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "in.tpm"]
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "cost", "--config", DEIT_S_CONFIG, "--bogus")
         assert code == 1 and "usage error" in err
