@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -283,29 +284,58 @@ def _cmd_score(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_weights_dir(path, config):
+def _read_layer(path, config, layer, read):
+    """Layer ``layer``'s ``BlockWeights`` from its six files, each read by ``read``."""
     from .transformer import BlockWeights
 
-    blocks = []
+    parts = {}
+    for name in _WEIGHT_NAMES:
+        parts[name] = read(os.path.join(path, f"layer{layer:02d}_{name}.tpm"))
+    h, m, d = config.heads, config.dim, config.head_dim
+    for name in ("wq", "wk", "wv"):
+        mat = parts[name]
+        if mat.shape != (m, m):
+            raise DataError(
+                f"{path}: {name} of layer {layer} must be {m}x{m} "
+                f"(heads concatenated column-wise), got {mat.shape}"
+            )
+        parts[name] = np.stack([mat[:, i * d:(i + 1) * d] for i in range(h)])
+    try:
+        return BlockWeights(alpha=config.alpha, **parts)
+    except UsageError as exc:
+        raise DataError(f"{path}: layer {layer}: {exc}") from None
+
+
+class _WeightsDir(Sequence):
+    """The blocks of a weights directory, read from its files one item at a
+    time, so a forward pass holds one layer's weights at a time."""
+
+    def __init__(self, path, config):
+        self._path, self._config = path, config
+
+    def __len__(self):
+        return self._config.layers
+
+    def __getitem__(self, layer):
+        layer = range(len(self))[layer]  # negative indices; IndexError ends iteration
+        return _read_layer(self._path, self._config, layer, tpio.read_matrix)
+
+
+def _load_weights_dir(path, config):
+    """Check every weight file, layer by layer, before any is used; return the
+    blocks as a ``_WeightsDir``. The checks read into one reused buffer and
+    stand zero-stride arrays of each file's shape in for its values, so every
+    shape and ``BlockWeights`` check runs with its usual message and nothing
+    of the files is kept. A file changed after this pass fails the same
+    checks when its layer is read again."""
+    buf = bytearray()
+
+    def check(fpath):
+        return np.broadcast_to(np.float32(0), tpio.check_matrix(fpath, buf))
+
     for layer in range(config.layers):
-        parts = {}
-        for name in _WEIGHT_NAMES:
-            fpath = os.path.join(path, f"layer{layer:02d}_{name}.tpm")
-            parts[name] = tpio.read_matrix(fpath)
-        h, m, d = config.heads, config.dim, config.head_dim
-        for name in ("wq", "wk", "wv"):
-            mat = parts[name]
-            if mat.shape != (m, m):
-                raise DataError(
-                    f"{path}: {name} of layer {layer} must be {m}x{m} "
-                    f"(heads concatenated column-wise), got {mat.shape}"
-                )
-            parts[name] = np.stack([mat[:, i * d:(i + 1) * d] for i in range(h)])
-        try:
-            blocks.append(BlockWeights(alpha=config.alpha, **parts))
-        except UsageError as exc:
-            raise DataError(f"{path}: layer {layer}: {exc}") from None
-    return blocks
+        _read_layer(path, config, layer, check)
+    return _WeightsDir(path, config)
 
 
 def _cmd_forward(args) -> int:

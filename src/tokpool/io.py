@@ -74,10 +74,27 @@ def read_matrix(path) -> np.ndarray:
     raise UsageError(f"{path}: unknown matrix extension (use .tpm or .csv)")
 
 
-def _read_tpm(path: Path) -> np.ndarray:
+def check_matrix(path, buf: bytearray) -> tuple[int, int]:
+    """Check a TPM1 file as ``read_matrix`` does and return its shape, keeping
+    none of it: the file is read into ``buf``, grown when too small, so one
+    buffer serves a run of checks."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"{path}: no such file")
+    return _read_tpm(path, buf).shape
+
+
+def _read_tpm(path: Path, buf: bytearray | None = None) -> np.ndarray:
+    """Read into ``buf`` when given, else into a fresh buffer; the result is a
+    float32 view of that buffer."""
     with open(path, "rb") as fh:
-        raw = bytearray(os.fstat(fh.fileno()).st_size)  # writable, unlike bytes
-        del raw[fh.readinto(raw):]
+        size = os.fstat(fh.fileno()).st_size
+        if buf is None:
+            buf = bytearray(size)  # writable, unlike bytes
+        elif len(buf) < size:
+            buf.extend(bytes(size - len(buf)))
+        raw = memoryview(buf)[:size]
+        raw = raw[:fh.readinto(raw)]
     if len(raw) < _HEADER.size:
         raise DataError(f"{path}: truncated header ({len(raw)} bytes, need 12)")
     magic, rows, cols = _HEADER.unpack_from(raw)
@@ -90,9 +107,10 @@ def _read_tpm(path: Path) -> np.ndarray:
             f"for {rows}x{cols}"
         )
     data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        i = int(bad[0])
+    # NaN propagates through both reductions and an infinity shows in one, so
+    # the element search (and its payload-sized temporaries) runs only on failure
+    if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        i = int(np.flatnonzero(~np.isfinite(data))[0])
         raise DataError(
             f"{path}: non-finite value at element {i} (byte offset {12 + 4 * i})"
         )

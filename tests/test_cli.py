@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -436,6 +437,98 @@ class TestForward:
         )
         assert code == 2 and out == "" and message in err
         assert not (tmp_path / "o.tpm").exists()
+
+    @staticmethod
+    def _poison(path, element):
+        """Rewrite a TPM file with a NaN at ``element``, keeping its shape."""
+        mat = tpio.read_matrix(path)
+        mat.reshape(-1)[element] = np.nan
+        path.write_bytes(b"TPM1" + struct.pack("<II", *mat.shape) + mat.astype("<f4").tobytes())
+
+    def _count_blocks(self, monkeypatch, before=None):
+        calls = []
+        real = tokpool.pipeline.block_forward_detailed
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            if before is not None:
+                before(len(calls) - 1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tokpool.pipeline, "block_forward_detailed", counted)
+        return calls
+
+    def _weights_dir_run(self, capsys, tmp_path, layers):
+        from tokpool.costmodel import ModelConfig
+        from tokpool.transformer import synth_weights
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"layers": layers, "dim": 16, "heads": 4, "tokens": 10,
+                                   "schedule": [8] * layers}))
+        wdir = tmp_path / "weights"
+        write_weights_dir(wdir, synth_weights(ModelConfig(layers=layers, dim=16, heads=4,
+                                                          tokens=10), 4))
+        src = tmp_path / "in.tpm"
+        tpio.write_matrix(src, np.random.default_rng(7).normal(size=(10, 16)))
+
+        def run():
+            return run_cli(capsys, "forward", "--config", str(cfg), "--input", str(src),
+                           "--weights-dir", str(wdir), "--out", str(tmp_path / "o.tpm"))
+
+        return wdir, run
+
+    def test_weights_dir_non_finite_last_file_fails_before_any_block(
+            self, capsys, tmp_path, monkeypatch):
+        wdir, run = self._weights_dir_run(capsys, tmp_path, 12)
+        self._poison(wdir / "layer11_mlp2.tpm", 37)
+        calls = self._count_blocks(monkeypatch)
+        code, out, err = run()
+        assert (code, out) == (2, "")
+        assert err == (f"data error: {wdir / 'layer11_mlp2.tpm'}: non-finite value at "
+                       "element 37 (byte offset 160)\n")
+        assert calls == []
+        assert not (tmp_path / "o.tpm").exists()
+
+    def test_weights_dir_file_changed_after_checks_fails_on_reread(
+            self, capsys, tmp_path, monkeypatch):
+        # the first block rewrites layer 2's wq; its re-read finds the NaN
+        wdir, run = self._weights_dir_run(capsys, tmp_path, 4)
+        changed = wdir / "layer02_wq.tpm"
+        calls = self._count_blocks(
+            monkeypatch, lambda block: block == 0 and self._poison(changed, 3))
+        code, out, err = run()
+        assert (code, out) == (2, "")
+        assert err == (f"data error: {changed}: non-finite value at element 3 "
+                       "(byte offset 24)\n")
+        assert len(calls) == 2
+        assert not (tmp_path / "o.tpm").exists()
+
+    @pytest.mark.parametrize("layers", [12, 24])
+    def test_weights_dir_run_peak_is_independent_of_depth(self, tmp_path, layers):
+        # a load-and-run holds one layer's float32 weights and about one
+        # layer's float64 products, whatever the depth
+        import tracemalloc
+
+        from tokpool.cli import _load_weights_dir
+        from tokpool.costmodel import ModelConfig
+        from tokpool.pipeline import run_forward
+        from tokpool.transformer import TokenSet, synth_weights
+
+        m = 64
+        config = ModelConfig(layers=layers, dim=m, heads=4, tokens=16,
+                             schedule=[12, 8] * (layers // 2))
+        wdir = tmp_path / "weights"
+        write_weights_dir(wdir, synth_weights(config, 2))
+        tokens = TokenSet(np.random.default_rng(3).normal(size=(16, m)))
+        layer_params = 12 * m * m
+        tracemalloc.start()
+        try:
+            blocks = _load_weights_dir(str(wdir), config)
+            run_forward(tokens, blocks, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < layer_params * 4 + layer_params * 8, peak
 
     def test_normalized_alpha_zero_row_runs(self, capsys, tmp_path):
         # layer_norm maps a constant row to 0, so its query and key are 0
