@@ -14,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .costmodel import CATEGORIES, FlopReport, breakdown_fractions, model_flops
 from .errors import DataError, UsageError
 from .filterlab import verify_equivalence
 from .scoring import significance
-from .transformer import TokenSet, synth_weights
+from .transformer import BlockWeights, TokenSet, synth_weights
 
 _WEIGHT_NAMES = ("wq", "wk", "wv", "wo", "mlp1", "mlp2")
 
@@ -185,14 +184,6 @@ def _cmd_cost(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_weight_vector(path, n) -> np.ndarray:
-    mat = tpio.read_matrix(path)
-    flat = mat.reshape(-1)
-    if flat.shape[0] != n:
-        raise DataError(f"{path}: expected {n} weights, got {flat.shape[0]}")
-    return flat
-
-
 def _read_tokens(path) -> np.ndarray:
     feats = tpio.read_matrix(path)
     if feats.size == 0:
@@ -203,33 +194,44 @@ def _read_tokens(path) -> np.ndarray:
     return feats
 
 
+def _check_distinct(args, first, second) -> None:
+    a, b = getattr(args, first), getattr(args, second)
+    if b is not None and os.path.realpath(a) == os.path.realpath(b):
+        raise UsageError(f"--{first} and --{second} name the same file: {b}")
+
+
 def _write_outputs(outputs) -> None:
-    """Write each (path, matrix or text) in order. If a write fails, remove the
-    files already written first, so a failed run leaves no complete-looking output."""
-    written = []
+    """Write each (path, matrix or text) in order. If a write fails, remove
+    every file this run created, the failing one included, so a failed run
+    leaves no output behind; a path that existed before is never removed."""
+    created = []
     try:
         for path, content in outputs:
+            if not os.path.lexists(path):
+                created.append(path)
             if isinstance(content, str):
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(content)
             else:
                 tpio.write_matrix(path, content)
-            written.append(path)
     except BaseException:
-        for path in written:
+        for path in created:
             with contextlib.suppress(OSError):
                 os.remove(path)
         raise
 
 
 def _cmd_pool(args) -> int:
+    _check_distinct(args, "out", "assignments")
     feats = _read_tokens(args.input)
     n = feats.shape[0]
     weights = None
     if args.weights and args.scores_from:
         raise UsageError("give either --weights or --scores-from, not both")
     if args.weights:
-        weights = _load_weight_vector(args.weights, n)
+        weights = tpio.read_matrix(args.weights).reshape(-1)
+        if weights.shape[0] != n:
+            raise DataError(f"{args.weights}: expected {n} weights, got {weights.shape[0]}")
     elif args.scores_from:
         if not args.heads:
             raise UsageError("--scores-from requires --heads")
@@ -274,8 +276,7 @@ def _cmd_pool(args) -> int:
 
 def _cmd_score(args) -> int:
     maps = tpio.read_attention_maps(args.attention, args.heads)
-    scores = significance(maps)
-    tpio.write_matrix(args.out, scores.reshape(-1, 1))
+    _write_outputs([(args.out, significance(maps).reshape(-1, 1))])
     return 0
 
 
@@ -286,11 +287,8 @@ def _cmd_score(args) -> int:
 
 def _read_layer(path, config, layer, read):
     """Layer ``layer``'s ``BlockWeights`` from its six files, each read by ``read``."""
-    from .transformer import BlockWeights
-
-    parts = {}
-    for name in _WEIGHT_NAMES:
-        parts[name] = read(os.path.join(path, f"layer{layer:02d}_{name}.tpm"))
+    parts = {name: read(os.path.join(path, f"layer{layer:02d}_{name}.tpm"))
+             for name in _WEIGHT_NAMES}
     h, m, d = config.heads, config.dim, config.head_dim
     for name in ("wq", "wk", "wv"):
         mat = parts[name]
@@ -306,46 +304,42 @@ def _read_layer(path, config, layer, read):
         raise DataError(f"{path}: layer {layer}: {exc}") from None
 
 
-class _WeightsDir(Sequence):
-    """The blocks of a weights directory, read from its files one item at a
-    time, so a forward pass holds one layer's weights at a time."""
+class _WeightsDir:
+    """The blocks of a weights directory. Construction checks every file, with
+    zero-stride stand-ins for its values and one reused buffer, so each check
+    gives its usual message and nothing is kept. Each walk re-reads a layer as
+    it is reached, one layer held at a time; the same checks catch a change."""
 
     def __init__(self, path, config):
         self._path, self._config = path, config
+        buf = bytearray()
+
+        def check(fpath):
+            return np.broadcast_to(np.float32(0), tpio.check_matrix(fpath, buf))
+
+        for layer in range(config.layers):
+            _read_layer(path, config, layer, check)
 
     def __len__(self):
         return self._config.layers
 
-    def __getitem__(self, layer):
-        layer = range(len(self))[layer]  # negative indices; IndexError ends iteration
-        return _read_layer(self._path, self._config, layer, tpio.read_matrix)
-
-
-def _load_weights_dir(path, config):
-    """Check every weight file, layer by layer, before any is used; return the
-    blocks as a ``_WeightsDir``. The checks read into one reused buffer and
-    stand zero-stride arrays of each file's shape in for its values, so every
-    shape and ``BlockWeights`` check runs with its usual message and nothing
-    of the files is kept. A file changed after this pass fails the same
-    checks when its layer is read again."""
-    buf = bytearray()
-
-    def check(fpath):
-        return np.broadcast_to(np.float32(0), tpio.check_matrix(fpath, buf))
-
-    for layer in range(config.layers):
-        _read_layer(path, config, layer, check)
-    return _WeightsDir(path, config)
+    def __iter__(self):
+        for layer in range(len(self)):
+            yield _read_layer(self._path, self._config, layer, tpio.read_matrix)
 
 
 def _cmd_forward(args) -> int:
-    config = tpio.read_config(args.config)
-    feats = _read_tokens(args.input)
-    tokens = TokenSet(feats)
     if args.weights_dir and args.seed is not None:
         raise UsageError("give either --seed or --weights-dir, not both")
+    _check_distinct(args, "out", "trace")
+    config = tpio.read_config(args.config)
+    feats = _read_tokens(args.input)
+    if feats.shape != (config.tokens, config.dim):
+        raise DataError(f"{args.input}: input has {feats.shape[0]} tokens of dim "
+                        f"{feats.shape[1]}, config says {config.tokens} of dim {config.dim}")
+    tokens = TokenSet(feats)
     if args.weights_dir:
-        blocks = _load_weights_dir(args.weights_dir, config)
+        blocks = _WeightsDir(args.weights_dir, config)
     else:
         blocks = synth_weights(config, 0 if args.seed is None else args.seed)
     final, traces = pipeline.run_forward(

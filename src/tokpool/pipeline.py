@@ -8,11 +8,14 @@ scores of the block's own attention maps. A schedule entry of 0 keeps only
 the protected token; no clustering runs for it. Carry mode seeds unit counts
 when the input has none, and every layer keeps counts exactly when its input
 has them. Every argument, and every scheduled layer's ``PoolSpec``, is
-checked before the first block runs.
+checked before the first block runs. ``blocks`` is any sized iterable of
+``config.layers`` block weights, walked once, in layer order, each taken just
+as its layer runs, so a source may read or draw each layer as it is reached.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +42,7 @@ class LayerTrace:
 
 def run_forward(
     tokens: TokenSet,
-    blocks: list[BlockWeights],
+    blocks: Iterable[BlockWeights],
     config: ModelConfig,
     pool_method: str = "kmedoids",
     pool_init: str = "topk_weight",
@@ -78,9 +81,11 @@ def run_forward(
     if config.mode == "carry" and cur.counts is None:
         cur.counts = np.ones(cur.n_tokens)
     traces: list[LayerTrace] = []
+    blocks = iter(blocks)
     for layer, (k, spec) in enumerate(zip(schedule, specs)):
         n_in = cur.n_tokens
-        out, detail = block_forward_detailed(cur, blocks[layer], mode=config.mode)
+        # next() inline: a loop variable would keep block l alive while l+1 is read
+        out, detail = block_forward_detailed(cur, next(blocks), mode=config.mode)
         loss = iterations = None
         if k == 0:  # keep only the protected token
             head = None if out.counts is None else out.counts[:1]

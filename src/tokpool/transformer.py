@@ -264,7 +264,7 @@ def synth_weights(config: ModelConfig, seed: int) -> list[BlockWeights]:
                 wo=rng.normal((m, m)) * scale,
                 mlp1=rng.normal((m, hidden)) * scale,
                 mlp2=rng.normal((hidden, m)) * scale,
-                alpha=config.alpha if config.alpha is not None else 1.0,
+                alpha=config.alpha,
             )
         )
     return blocks

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import struct
@@ -369,7 +370,7 @@ class TestForward:
         ("normalized_alpha", [5, 4, 1], "kmeans"), ("standard", None, "kmedoids"),
     ])
     def test_weights_dir_run_equals_its_float64_widening(self, tmp_path, mode, schedule, method):
-        from tokpool.cli import _load_weights_dir
+        from tokpool.cli import _WeightsDir
         from tokpool.costmodel import ModelConfig
         from tokpool.pipeline import run_forward
         from tokpool.transformer import BlockWeights, TokenSet, synth_weights
@@ -378,7 +379,7 @@ class TestForward:
                              mode=mode, alpha=3.0)
         wdir = tmp_path / "weights"
         write_weights_dir(wdir, synth_weights(config, 11))
-        held = _load_weights_dir(str(wdir), config)
+        held = _WeightsDir(str(wdir), config)
         assert all(getattr(w, n).dtype == np.float32 for w in held for n in _NAMES)
         widened = [BlockWeights(**{n: getattr(w, n).astype(np.float64) for n in _NAMES},
                                 alpha=w.alpha) for w in held]
@@ -396,7 +397,7 @@ class TestForward:
         # products; holding every layer as float64 would double the weights
         import tracemalloc
 
-        from tokpool.cli import _load_weights_dir
+        from tokpool.cli import _WeightsDir
         from tokpool.costmodel import ModelConfig
         from tokpool.pipeline import run_forward
         from tokpool.transformer import TokenSet, synth_weights
@@ -410,7 +411,7 @@ class TestForward:
         layer_params = 12 * m * m  # q, k, v, o, and two m x 4m MLP matrices
         tracemalloc.start()
         try:
-            blocks = _load_weights_dir(str(wdir), config)
+            blocks = _WeightsDir(str(wdir), config)
             run_forward(tokens, blocks, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -503,13 +504,53 @@ class TestForward:
         assert len(calls) == 2
         assert not (tmp_path / "o.tpm").exists()
 
+    def test_weights_dir_walk_reads_each_file_once_in_order(self, tmp_path, monkeypatch):
+        # the check pass reads nothing through read_matrix; one walk re-reads
+        # every file once, layer by layer, in _WEIGHT_NAMES order
+        from tokpool.cli import _WEIGHT_NAMES, _WeightsDir
+        from tokpool.costmodel import ModelConfig
+        from tokpool.transformer import synth_weights
+
+        config = ModelConfig(layers=3, dim=16, heads=4, tokens=10)
+        wdir = tmp_path / "weights"
+        write_weights_dir(wdir, synth_weights(config, 5))
+        reads = []
+        real = tpio.read_matrix
+        monkeypatch.setattr(tpio, "read_matrix", lambda path: reads.append(path) or real(path))
+        blocks = _WeightsDir(str(wdir), config)
+        assert reads == [] and len(blocks) == 3
+        walked = [w.wq.shape for w in blocks]
+        assert walked == [(4, 16, 4)] * 3
+        assert [os.path.basename(p) for p in reads] == [
+            f"layer{layer:02d}_{name}.tpm" for layer in range(3) for name in _WEIGHT_NAMES]
+
+    @pytest.mark.parametrize("shape", [(9, 16), (10, 8)])
+    @pytest.mark.parametrize("source", [["--seed", "1"], ["--weights-dir", "no-such-dir"]])
+    def test_input_disagreeing_with_config_is_data_error(self, capsys, tmp_path, monkeypatch,
+                                                         shape, source):
+        # a file-against-file mismatch: exit 2 naming the input, before any weights
+        synthesized = []
+        monkeypatch.setattr(tokpool.cli, "synth_weights", lambda *a: synthesized.append(a))
+        cfg = self._write_desk_config(tmp_path, schedule=[8, 5, 5, 2])
+        src = tmp_path / "in.tpm"
+        tpio.write_matrix(src, np.ones(shape))
+        code, out, err = run_cli(
+            capsys, "forward", "--config", str(cfg), "--input", str(src), *source,
+            "--out", str(tmp_path / "o.tpm"),
+        )
+        assert (code, out) == (2, "")
+        assert err == (f"data error: {src}: input has {shape[0]} tokens of dim {shape[1]}, "
+                       "config says 10 of dim 16\n")
+        assert synthesized == []
+        assert not (tmp_path / "o.tpm").exists()
+
     @pytest.mark.parametrize("layers", [12, 24])
     def test_weights_dir_run_peak_is_independent_of_depth(self, tmp_path, layers):
         # a load-and-run holds one layer's float32 weights and about one
         # layer's float64 products, whatever the depth
         import tracemalloc
 
-        from tokpool.cli import _load_weights_dir
+        from tokpool.cli import _WeightsDir
         from tokpool.costmodel import ModelConfig
         from tokpool.pipeline import run_forward
         from tokpool.transformer import TokenSet, synth_weights
@@ -523,7 +564,7 @@ class TestForward:
         layer_params = 12 * m * m
         tracemalloc.start()
         try:
-            blocks = _load_weights_dir(str(wdir), config)
+            blocks = _WeightsDir(str(wdir), config)
             run_forward(tokens, blocks, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -740,6 +781,82 @@ class TestArgHandling:
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "o.tpm").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "in.tpm"]
+
+    @staticmethod
+    def _inputs(tmp_path):
+        tpio.write_matrix(tmp_path / "in.tpm", np.random.default_rng(0).normal(size=(10, 16)))
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"layers": 2, "dim": 16, "heads": 4, "tokens": 10, "schedule": [6, 3]}))
+        tpio.write_attention_maps(tmp_path / "a.tpm", np.full((2, 10, 10), 0.1))
+        return sorted(p.name for p in tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, first, second", [
+        (["pool", "--input", "in.tpm", "--k", "4", "--method", "kmeans",
+          "--out", "o.tpm", "--assignments", "o.tpm"], "--out", "--assignments"),
+        (["pool", "--input", "in.tpm", "--k", "4", "--method", "kmeans",
+          "--out", "./o.tpm", "--assignments", "o.tpm"], "--out", "--assignments"),
+        (["forward", "--config", "cfg.json", "--input", "in.tpm", "--seed", "0",
+          "--out", "o.tpm", "--trace", "o.tpm"], "--out", "--trace"),
+        (["forward", "--config", "cfg.json", "--input", "in.tpm", "--seed", "0",
+          "--out", "o.tpm", "--trace", "./o.tpm"], "--out", "--trace"),
+    ], ids=["pool", "pool-dot-slash", "forward", "forward-dot-slash"])
+    def test_two_outputs_naming_one_file_is_usage_error(self, capsys, tmp_path, monkeypatch,
+                                                        argv, first, second):
+        before = self._inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        reads = []
+        monkeypatch.setattr(tpio, "read_matrix", reads.append)
+        monkeypatch.setattr(tpio, "read_config", reads.append)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+        assert first in err and second in err
+        assert reads == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @staticmethod
+    def _failing_writer(path, m):
+        """Create the file, write 11 bytes of it, then run out of space."""
+        with open(path, "wb") as fh:
+            fh.write(b"TPM1" + bytes(7))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    @pytest.mark.parametrize("argv", [
+        ["pool", "--input", "{d}/in.tpm", "--k", "4", "--method", "kmeans",
+         "--out", "{d}/o.tpm", "--assignments", "{d}/a.json"],
+        ["forward", "--config", "{d}/cfg.json", "--input", "{d}/in.tpm", "--seed", "0",
+         "--out", "{d}/o.tpm", "--trace", "{d}/t.json"],
+        ["score", "--attention", "{d}/a.tpm", "--heads", "2", "--out", "{d}/o.tpm"],
+    ], ids=["pool", "forward", "score"])
+    def test_failed_write_removes_the_partial_file_it_created(self, capsys, tmp_path,
+                                                              monkeypatch, argv):
+        before = self._inputs(tmp_path)
+        monkeypatch.setattr(tpio, "write_matrix", self._failing_writer)
+        code, out, err = run_cli(capsys, *(a.format(d=tmp_path) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert str(tmp_path / "o.tpm") in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("failing", ["out", "trace"])
+    def test_failed_write_keeps_a_path_that_existed(self, capsys, tmp_path, monkeypatch,
+                                                    failing):
+        # a file the user had before the run is never removed, whichever write fails
+        self._inputs(tmp_path)
+        kept = tmp_path / "kept.tpm"
+        kept.write_bytes(b"the user's")
+        trace = str(tmp_path / "nodir" / "t.json")
+        if failing == "out":
+            monkeypatch.setattr(tpio, "write_matrix", self._failing_writer)
+            trace = str(tmp_path / "t.json")
+        code, _, err = run_cli(
+            capsys, "forward", "--config", str(tmp_path / "cfg.json"),
+            "--input", str(tmp_path / "in.tpm"), "--seed", "0",
+            "--out", str(kept), "--trace", trace,
+        )
+        assert code == 2 and err.startswith("data error: ")
+        assert kept.exists()
+        assert not (tmp_path / "t.json").exists()
 
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "cost", "--config", DEIT_S_CONFIG, "--bogus")

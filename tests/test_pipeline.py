@@ -145,6 +145,41 @@ def test_schedule_alone_turns_pooling_on():
     assert [t.tokens_out for t in traces] == [4, 1, 1]
 
 
+class OnePass:
+    """A sized iterable that can be walked once, logging each pull."""
+
+    def __init__(self, blocks, log):
+        self._blocks, self._log = blocks, log
+
+    def __len__(self):
+        return len(self._blocks)
+
+    def __iter__(self):
+        assert self._blocks is not None, "walked twice"
+        blocks, self._blocks = self._blocks, None
+        for layer, w in enumerate(blocks):
+            self._log.append(("pull", layer))
+            yield w
+
+
+@pytest.mark.parametrize("mode, schedule", [
+    ("standard", (3, 0, 1)), ("carry", (4, 2, 2)), ("normalized_alpha", None),
+])
+def test_sized_one_pass_iterable_matches_list(monkeypatch, mode, schedule):
+    # each block is pulled once, in layer order, just before its layer runs
+    config = ModelConfig(layers=3, dim=8, heads=2, tokens=6, schedule=schedule, mode=mode)
+    tokens = TokenSet(np.random.default_rng(3).normal(size=(6, 8)))
+    blocks = synth_weights(config, 4)
+    want = _outcome(run_forward, tokens, blocks, config, pool_method="wkmeans")
+    log = []
+    real = pipeline.block_forward_detailed
+    monkeypatch.setattr(pipeline, "block_forward_detailed",
+                        lambda *a, **kw: log.append(("block",)) or real(*a, **kw))
+    got = _outcome(run_forward, tokens, OnePass(blocks, log), config, pool_method="wkmeans")
+    assert got == want
+    assert log == [("pull", 0), ("block",), ("pull", 1), ("block",), ("pull", 2), ("block",)]
+
+
 @pytest.mark.parametrize("kwargs, message", [
     (dict(pool_method=None), "unknown pool method None"),
     (dict(pool_method="grid"), "unknown pool method 'grid'"),
