@@ -23,7 +23,7 @@ from .costmodel import CATEGORIES, FlopReport, breakdown_fractions, model_flops
 from .errors import DataError, UsageError
 from .filterlab import verify_equivalence
 from .scoring import significance
-from .transformer import BlockWeights, TokenSet, synth_weights
+from .transformer import BlockWeights, TokenSet, check_block_shapes, synth_weights
 
 _WEIGHT_NAMES = ("wq", "wk", "wv", "wo", "mlp1", "mlp2")
 
@@ -233,7 +233,7 @@ def _cmd_pool(args) -> int:
         if weights.shape[0] != n:
             raise DataError(f"{args.weights}: expected {n} weights, got {weights.shape[0]}")
     elif args.scores_from:
-        if not args.heads:
+        if args.heads is None:
             raise UsageError("--scores-from requires --heads")
         maps = tpio.read_attention_maps(args.scores_from, args.heads)
         if maps.shape[1] != n:
@@ -285,47 +285,53 @@ def _cmd_score(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_layer(path, config, layer, read):
-    """Layer ``layer``'s ``BlockWeights`` from its six files, each read by ``read``."""
-    parts = {name: read(os.path.join(path, f"layer{layer:02d}_{name}.tpm"))
-             for name in _WEIGHT_NAMES}
+def _check_layer(path, config, layer, shapes) -> None:
+    """Raise ``DataError`` unless layer ``layer``'s file shapes, a dict by
+    weight name, make one block of ``config``."""
     h, m, d = config.heads, config.dim, config.head_dim
     for name in ("wq", "wk", "wv"):
-        mat = parts[name]
-        if mat.shape != (m, m):
+        if shapes[name] != (m, m):
             raise DataError(
                 f"{path}: {name} of layer {layer} must be {m}x{m} "
-                f"(heads concatenated column-wise), got {mat.shape}"
+                f"(heads concatenated column-wise), got {shapes[name]}"
             )
-        parts[name] = np.stack([mat[:, i * d:(i + 1) * d] for i in range(h)])
     try:
-        return BlockWeights(alpha=config.alpha, **parts)
+        check_block_shapes((h, m, d), (h, m, d), (h, m, d),
+                           shapes["wo"], shapes["mlp1"], shapes["mlp2"])
     except UsageError as exc:
         raise DataError(f"{path}: layer {layer}: {exc}") from None
 
 
+def _layer_files(path, layer):
+    return {name: os.path.join(path, f"layer{layer:02d}_{name}.tpm") for name in _WEIGHT_NAMES}
+
+
 class _WeightsDir:
-    """The blocks of a weights directory. Construction checks every file, with
-    zero-stride stand-ins for its values and one reused buffer, so each check
-    gives its usual message and nothing is kept. Each walk re-reads a layer as
-    it is reached, one layer held at a time; the same checks catch a change."""
+    """The blocks of a weights directory. Construction reads every file, keeps
+    only its shape and checks each layer's shapes, so any bad file fails before
+    block 0 and nothing is kept. Each walk re-reads a layer as it is reached,
+    one layer held at a time; the same checks catch a change."""
 
     def __init__(self, path, config):
         self._path, self._config = path, config
-        buf = bytearray()
-
-        def check(fpath):
-            return np.broadcast_to(np.float32(0), tpio.check_matrix(fpath, buf))
-
         for layer in range(config.layers):
-            _read_layer(path, config, layer, check)
+            shapes = {name: tpio.read_matrix(fpath).shape
+                      for name, fpath in _layer_files(path, layer).items()}
+            _check_layer(path, config, layer, shapes)
 
     def __len__(self):
         return self._config.layers
 
     def __iter__(self):
+        h, d = self._config.heads, self._config.head_dim
         for layer in range(len(self)):
-            yield _read_layer(self._path, self._config, layer, tpio.read_matrix)
+            parts = {name: tpio.read_matrix(fpath)
+                     for name, fpath in _layer_files(self._path, layer).items()}
+            _check_layer(self._path, self._config, layer,
+                         {name: mat.shape for name, mat in parts.items()})
+            for name in ("wq", "wk", "wv"):
+                parts[name] = np.stack([parts[name][:, i * d:(i + 1) * d] for i in range(h)])
+            yield BlockWeights(alpha=self._config.alpha, **parts)
 
 
 def _cmd_forward(args) -> int:

@@ -74,26 +74,9 @@ def read_matrix(path) -> np.ndarray:
     raise UsageError(f"{path}: unknown matrix extension (use .tpm or .csv)")
 
 
-def check_matrix(path, buf: bytearray) -> tuple[int, int]:
-    """Check a TPM1 file as ``read_matrix`` does and return its shape, keeping
-    none of it: the file is read into ``buf``, grown when too small, so one
-    buffer serves a run of checks."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"{path}: no such file")
-    return _read_tpm(path, buf).shape
-
-
-def _read_tpm(path: Path, buf: bytearray | None = None) -> np.ndarray:
-    """Read into ``buf`` when given, else into a fresh buffer; the result is a
-    float32 view of that buffer."""
+def _read_tpm(path: Path) -> np.ndarray:
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if buf is None:
-            buf = bytearray(size)  # writable, unlike bytes
-        elif len(buf) < size:
-            buf.extend(bytes(size - len(buf)))
-        raw = memoryview(buf)[:size]
+        raw = memoryview(bytearray(os.fstat(fh.fileno()).st_size))  # writable, unlike bytes
         raw = raw[:fh.readinto(raw)]
     if len(raw) < _HEADER.size:
         raise DataError(f"{path}: truncated header ({len(raw)} bytes, need 12)")

@@ -210,6 +210,21 @@ class TestPool:
         )
         assert code == 1 and "--scores-from requires --heads" in err
 
+    def test_scores_from_zero_heads_is_heads_usage_error(self, capsys, tmp_path):
+        # --heads 0 is given, so it reaches the heads check, as in score
+        amap = tmp_path / "a.tpm"
+        tpio.write_attention_maps(amap, np.full((2, 4, 4), 0.25))
+        src = tmp_path / "f.tpm"
+        tpio.write_matrix(src, np.ones((4, 2)))
+        code, out, err = run_cli(
+            capsys, "pool", "--input", str(src), "--k", "2", "--method", "wkmeans",
+            "--scores-from", str(amap), "--heads", "0", "--out", str(tmp_path / "o.tpm"),
+        )
+        assert (code, out, err) == (1, "", "usage error: heads must be >= 1\n")
+        assert run_cli(capsys, "score", "--attention", str(amap), "--heads", "0",
+                       "--out", str(tmp_path / "s.tpm")) == (code, out, err)
+        assert not (tmp_path / "o.tpm").exists() and not (tmp_path / "s.tpm").exists()
+
     def test_scores_from_other_token_count_is_data_error(self, capsys, tmp_path):
         amap = tmp_path / "a.tpm"
         tpio.write_attention_maps(amap, np.full((2, 5, 5), 0.2))
@@ -421,6 +436,9 @@ class TestForward:
     @pytest.mark.parametrize("name, shape, message", [
         ("wq", (16, 8), "wq of layer 0 must be 16x16"),
         ("mlp2", (32, 16), "do not map 16 -> hidden -> 16"),
+        ("wo", (16, 15), "layer 0: wo must be 16x16, got (16, 15)"),
+        ("mlp1", (15, 64), "layer 0: mlp shapes (15, 64) -> (64, 16) do not map "
+                           "16 -> hidden -> 16"),
     ])
     def test_weights_dir_bad_shape_is_data_error(self, capsys, tmp_path, name, shape, message):
         from tokpool.costmodel import ModelConfig
@@ -490,6 +508,36 @@ class TestForward:
         assert calls == []
         assert not (tmp_path / "o.tpm").exists()
 
+    @pytest.mark.parametrize("name, shape, message", [
+        ("wk", (16, 12), "wk of layer 11 must be 16x16 (heads concatenated column-wise), "
+                         "got (16, 12)"),
+        ("mlp1", (16, 63), "layer 11: mlp shapes (16, 63) -> (64, 16) do not map "
+                           "16 -> hidden -> 16"),
+    ])
+    def test_weights_dir_bad_shape_in_last_layer_fails_before_any_block(
+            self, capsys, tmp_path, monkeypatch, name, shape, message):
+        wdir, run = self._weights_dir_run(capsys, tmp_path, 12)
+        tpio.write_matrix(wdir / f"layer11_{name}.tpm", np.ones(shape))
+        calls = self._count_blocks(monkeypatch)
+        code, out, err = run()
+        assert (code, out, err) == (2, "", f"data error: {wdir}: {message}\n")
+        assert calls == []
+        assert not (tmp_path / "o.tpm").exists()
+
+    def test_weights_dir_shape_changed_after_checks_fails_on_reread(
+            self, capsys, tmp_path, monkeypatch):
+        # the first block gives layer 2's wo a wrong shape; its re-read fails
+        # the check pass's shape check, a data error like any other bad file
+        wdir, run = self._weights_dir_run(capsys, tmp_path, 4)
+        calls = self._count_blocks(
+            monkeypatch, lambda block: block == 0 and tpio.write_matrix(
+                wdir / "layer02_wo.tpm", np.ones((16, 15))))
+        code, out, err = run()
+        assert (code, out, err) == (
+            2, "", f"data error: {wdir}: layer 2: wo must be 16x16, got (16, 15)\n")
+        assert len(calls) == 2
+        assert not (tmp_path / "o.tpm").exists()
+
     def test_weights_dir_file_changed_after_checks_fails_on_reread(
             self, capsys, tmp_path, monkeypatch):
         # the first block rewrites layer 2's wq; its re-read finds the NaN
@@ -505,8 +553,8 @@ class TestForward:
         assert not (tmp_path / "o.tpm").exists()
 
     def test_weights_dir_walk_reads_each_file_once_in_order(self, tmp_path, monkeypatch):
-        # the check pass reads nothing through read_matrix; one walk re-reads
-        # every file once, layer by layer, in _WEIGHT_NAMES order
+        # the check pass reads every file once, layer by layer, in
+        # _WEIGHT_NAMES order; one walk re-reads them once in the same order
         from tokpool.cli import _WEIGHT_NAMES, _WeightsDir
         from tokpool.costmodel import ModelConfig
         from tokpool.transformer import synth_weights
@@ -517,12 +565,12 @@ class TestForward:
         reads = []
         real = tpio.read_matrix
         monkeypatch.setattr(tpio, "read_matrix", lambda path: reads.append(path) or real(path))
+        order = [f"layer{layer:02d}_{name}.tpm" for layer in range(3) for name in _WEIGHT_NAMES]
         blocks = _WeightsDir(str(wdir), config)
-        assert reads == [] and len(blocks) == 3
+        assert [os.path.basename(p) for p in reads] == order and len(blocks) == 3
         walked = [w.wq.shape for w in blocks]
         assert walked == [(4, 16, 4)] * 3
-        assert [os.path.basename(p) for p in reads] == [
-            f"layer{layer:02d}_{name}.tpm" for layer in range(3) for name in _WEIGHT_NAMES]
+        assert [os.path.basename(p) for p in reads] == order * 2
 
     @pytest.mark.parametrize("shape", [(9, 16), (10, 8)])
     @pytest.mark.parametrize("source", [["--seed", "1"], ["--weights-dir", "no-such-dir"]])

@@ -97,10 +97,9 @@ class TestMatrixErrors:
         path = tmp_path / "bad.tpm"
         path.write_bytes(b"TPM1" + struct.pack("<II", 2, 4) + values.astype("<f4").tobytes())
         want = f"{path}: non-finite value at element {first} (byte offset {12 + 4 * first})"
-        for check in (tpio.read_matrix, lambda p: tpio.check_matrix(p, bytearray())):
-            with pytest.raises(DataError) as err:
-                check(path)
-            assert str(err.value) == want
+        with pytest.raises(DataError) as err:
+            tpio.read_matrix(path)
+        assert str(err.value) == want
 
     def test_write_rejects_nan(self, tmp_path):
         with pytest.raises(DataError):
@@ -129,43 +128,6 @@ class TestMatrixErrors:
     def test_unknown_extension(self, tmp_path):
         with pytest.raises(UsageError):
             tpio.write_matrix(tmp_path / "m.npy", [[1.0]])
-
-
-def _tpm_bytes(rows, cols, values):
-    return b"TPM1" + struct.pack("<II", rows, cols) + np.asarray(values, "<f4").tobytes()
-
-
-class TestCheckMatrix:
-    def test_one_buffer_checks_files_of_any_size(self, tmp_path):
-        # a smaller file after a larger one is judged by its own bytes only:
-        # the non-finite tail the larger file left in the buffer is not read
-        big = np.ones(12, np.float32)
-        big[-1] = np.nan
-        (tmp_path / "big.tpm").write_bytes(_tpm_bytes(3, 4, big))
-        (tmp_path / "small.tpm").write_bytes(_tpm_bytes(2, 3, np.ones(6)))
-        (tmp_path / "empty.tpm").write_bytes(_tpm_bytes(0, 5, []))
-        buf = bytearray()
-        with pytest.raises(DataError, match="element 11"):
-            tpio.check_matrix(tmp_path / "big.tpm", buf)
-        assert len(buf) == 12 + 4 * 12
-        assert tpio.check_matrix(tmp_path / "small.tpm", buf) == (2, 3)
-        assert tpio.check_matrix(tmp_path / "empty.tpm", buf) == (0, 5)
-        assert len(buf) == 12 + 4 * 12
-
-    @pytest.mark.parametrize("content", [
-        b"TPM", b"XXXX" + struct.pack("<II", 1, 1) + b"\x00" * 4,
-        _tpm_bytes(2, 2, [1, 2, 3]), _tpm_bytes(1, 1, [1, 2]), _tpm_bytes(1, 2, [1, np.inf]),
-        None,
-    ], ids=["short-header", "bad-magic", "truncated", "trailing", "non-finite", "missing"])
-    def test_same_error_as_read_matrix(self, tmp_path, content):
-        path = tmp_path / "m.tpm"
-        if content is not None:
-            path.write_bytes(content)
-        with pytest.raises(DataError) as want:
-            tpio.read_matrix(path)
-        with pytest.raises(DataError) as got:
-            tpio.check_matrix(path, bytearray(64))
-        assert str(got.value) == str(want.value)
 
 
 class TestAttentionMaps:
