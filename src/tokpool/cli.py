@@ -229,7 +229,10 @@ def _cmd_pool(args) -> int:
     if args.weights and args.scores_from:
         raise UsageError("give either --weights or --scores-from, not both")
     if args.weights:
-        weights = tpio.read_matrix(args.weights).reshape(-1)
+        weights = tpio.read_matrix(args.weights)
+        if weights.shape[1] != 1:
+            raise DataError(f"{args.weights}: weights must be one column (N x 1), "
+                            f"got {weights.shape[0]}x{weights.shape[1]}")
         if weights.shape[0] != n:
             raise DataError(f"{args.weights}: expected {n} weights, got {weights.shape[0]}")
     elif args.scores_from:
@@ -241,6 +244,7 @@ def _cmd_pool(args) -> int:
                 f"{args.scores_from}: maps cover {maps.shape[1]} tokens, input has {n}"
             )
         weights = significance(maps)
+        del maps  # the maps are not held while pooling runs
     grid = tuple(args.grid) if args.grid else None
     if args.method == "grid" and grid is None:
         raise UsageError("the grid method requires --grid H W")

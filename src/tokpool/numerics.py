@@ -7,9 +7,9 @@ draws use the Marsaglia polar method on consecutive uniform pairs (pairs
 landing outside the unit disc are discarded; the unused spare of the final
 pair is dropped at the end of each fill). Integer and uniform streams are
 bit-identical across platforms; Gaussian draws additionally depend on the
-platform's ``log``/``sqrt``. Fills are vectorized (jump-ahead lanes, see
-``_kernels``) and reproduce the one-draw-at-a-time stream exactly; Gaussian
-fills keep ``math.log`` for that.
+platform's ``math.log`` (IEEE 754 rounds ``sqrt`` correctly). Fills are
+vectorized (jump-ahead lanes, see ``_kernels``) and reproduce the
+one-draw-at-a-time stream exactly; Gaussian fills keep ``math.log`` for that.
 """
 
 from __future__ import annotations

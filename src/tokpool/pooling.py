@@ -137,7 +137,7 @@ def _lloyd(feats, obj_w, init_w, spec: PoolSpec):
     init_idx = _init_indices(n, k, spec.init, init_w, spec.seed)
 
     medoids = init_idx.astype(np.int64) if medoid else None
-    centers = feats[init_idx].astype(np.float64, copy=True)
+    centers = feats[init_idx]
     labels, errs = kernels.nearest_sq_dists(feats, centers)
     prev = labels
     iterations = 0
@@ -147,7 +147,7 @@ def _lloyd(feats, obj_w, init_w, spec: PoolSpec):
         if medoid:
             new_med = kernels.medoid_update(feats, labels, k, obj_w)
             medoids[occupied] = new_med[occupied]
-            centers = feats[medoids].astype(np.float64, copy=True)
+            centers = feats[medoids]
             if not occupied.all():
                 _repair_empty(centers, feats, occupied, medoids)
         else:
@@ -177,10 +177,8 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
     through the same assembly; the pooled set carries counts exactly when
     ``f`` does, no weights, and the halved grid for grid pooling only.
     """
-    if spec.method in _WEIGHTED and f.weights is None:
+    if spec.method in (*_WEIGHTED, "importance") and f.weights is None:
         raise UsageError(f"method {spec.method!r} requires token weights")
-    if spec.method == "importance" and f.weights is None:
-        raise UsageError("importance selection requires token weights (scores)")
     grid = spec.method == "grid"
     if grid:
         if f.grid is None:

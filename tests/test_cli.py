@@ -164,6 +164,67 @@ class TestPool:
         )
         assert code == 2 and "expected 6 weights, got 5" in err
 
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 6)], ids=["3x2", "1x6"])
+    def test_weights_not_one_column_is_data_error(self, capsys, tmp_path, shape):
+        # six values, but a weights file is N x 1, as `score` writes it
+        src = tmp_path / "f.tpm"
+        weights = tmp_path / "w.tpm"
+        tpio.write_matrix(src, np.random.default_rng(2).normal(size=(6, 2)))
+        tpio.write_matrix(weights, np.ones(shape))
+        code, _, err = run_cli(
+            capsys, "pool", "--input", str(src), "--k", "2", "--method", "wkmeans",
+            "--weights", str(weights), "--out", str(tmp_path / "o.tpm"),
+        )
+        assert code == 2
+        assert err == (f"data error: {weights}: weights must be one column (N x 1), "
+                       f"got {shape[0]}x{shape[1]}\n")
+        assert not (tmp_path / "o.tpm").exists()
+
+    def test_importance_without_weights_is_usage_error(self, capsys, tmp_path):
+        src = tmp_path / "f.tpm"
+        tpio.write_matrix(src, np.random.default_rng(2).normal(size=(6, 2)))
+        code, _, err = run_cli(
+            capsys, "pool", "--input", str(src), "--k", "2", "--method", "importance",
+            "--out", str(tmp_path / "o.tpm"),
+        )
+        assert code == 1
+        assert err == "usage error: method 'importance' requires token weights\n"
+
+    def test_scores_from_maps_are_released_before_pooling(self, capsys, tmp_path,
+                                                         monkeypatch):
+        # only the scores may reach pooling; the maps file's payload must be freed
+        import tracemalloc
+
+        from tokpool import pooling
+
+        rng = np.random.default_rng(5)
+        h, n = 12, 201
+        maps = rng.random((h, n, n))
+        maps /= maps.sum(axis=2, keepdims=True)
+        amap, src = tmp_path / "a.tpm", tmp_path / "f.tpm"
+        tpio.write_attention_maps(amap, maps)
+        tpio.write_matrix(src, rng.normal(size=(n, 8)))
+        seen = []
+        real = pooling.token_pool
+
+        def spy(tokens, spec):
+            seen.append(tracemalloc.get_traced_memory()[0])
+            return real(tokens, spec)
+
+        monkeypatch.setattr(pooling, "token_pool", spy)
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(
+                capsys, "pool", "--input", str(src), "--k", "50", "--method", "wkmedoids",
+                "--scores-from", str(amap), "--heads", str(h),
+                "--out", str(tmp_path / "o.tpm"),
+            )
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        payload = h * n * n * 4
+        assert len(seen) == 1 and seen[0] < payload, (seen, payload)
+
     @pytest.mark.parametrize("method, positive, message", [
         ("wkmeans", 1, "weights sum to zero"),
         ("wkmedoids", 1, "weights sum to zero"),

@@ -129,6 +129,32 @@ class TestMatrixErrors:
         with pytest.raises(UsageError):
             tpio.write_matrix(tmp_path / "m.npy", [[1.0]])
 
+    @pytest.mark.parametrize("name, content, error, message", [
+        ("short.tpm", b"TPM1\x01\x00", DataError, "{path}: truncated header (6 bytes, need 12)"),
+        ("empty.tpm", b"", DataError, "{path}: truncated header (0 bytes, need 12)"),
+        ("m.npy", b"1.0\n", UsageError, "{path}: unknown matrix extension (use .tpm or .csv)"),
+        ("inf.csv", b"1.0,2.0\n3.0,inf\n", DataError, "{path}:2: non-finite cell 'inf' in column 2"),
+        ("nan.csv", b"nan,1.0\n", DataError, "{path}:1: non-finite cell 'nan' in column 1"),
+        ("empty.csv", b"", DataError, "{path}: empty matrix file"),
+        ("blank.csv", b"\n  \n", DataError, "{path}: empty matrix file"),
+    ])
+    def test_read_error_message(self, tmp_path, name, content, error, message):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(error) as err:
+            tpio.read_matrix(path)
+        assert str(err.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("matrix, shape", [
+        (np.zeros(3), "(3,)"), (np.zeros((2, 2, 2)), "(2, 2, 2)"), (1.0, "()"),
+    ])
+    def test_write_rejects_non_matrix(self, tmp_path, matrix, shape):
+        path = tmp_path / "m.tpm"
+        with pytest.raises(UsageError) as err:
+            tpio.write_matrix(path, matrix)
+        assert str(err.value) == f"can only write 2-D matrices, got shape {shape}"
+        assert not path.exists()
+
 
 class TestAttentionMaps:
     def test_round_trip(self, tmp_path):
@@ -145,6 +171,16 @@ class TestAttentionMaps:
         tpio.write_matrix(path, np.zeros((10, 5)))
         with pytest.raises(DataError):
             tpio.read_attention_maps(path, heads=3)
+
+    @pytest.mark.parametrize("maps, shape", [
+        (np.zeros((2, 3, 4)), "(2, 3, 4)"), (np.eye(3), "(3, 3)"),
+    ])
+    def test_write_rejects_non_maps(self, tmp_path, maps, shape):
+        path = tmp_path / "a.tpm"
+        with pytest.raises(UsageError) as err:
+            tpio.write_attention_maps(path, maps)
+        assert str(err.value) == f"attention maps must be (H, N, N), got {shape}"
+        assert not path.exists()
 
 
 class TestConfig:
@@ -186,6 +222,35 @@ class TestConfig:
         )
         cfg = tpio.read_config(path)
         assert cfg.alpha == 2.5 and cfg.mode == "normalized_alpha"
+
+    @pytest.mark.parametrize("field, message", [
+        ({"layers": True}, "key 'layers' must be an integer"),
+        ({"dim": 8.0}, "key 'dim' must be an integer"),
+        ({"mlp_ratio": "4"}, "key 'mlp_ratio' must be an integer"),
+        ({"schedule": [5, True]}, "key 'schedule' must be an array of integers"),
+        ({"schedule": 5}, "key 'schedule' must be an array of integers"),
+        ({"alpha": "2.5"}, "key 'alpha' must be a number"),
+        ({"alpha": True}, "key 'alpha' must be a number"),
+        ({"mode": 1}, "key 'mode' must be a string"),
+    ])
+    def test_key_of_wrong_type(self, tmp_path, field, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"layers": 2, "dim": 8, "heads": 2, "tokens": 5, **field}))
+        with pytest.raises(DataError) as err:
+            tpio.read_config(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "invalid JSON (Expecting value: line 1 column 1 (char 0))"),
+        ("[2, 8, 2, 5]", "config must be a JSON object"),
+        ('"layers"', "config must be a JSON object"),
+    ])
+    def test_not_a_config_object(self, tmp_path, text, message):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(DataError) as err:
+            tpio.read_config(path)
+        assert str(err.value) == f"{path}: {message}"
 
 
 class TestSchedule:
