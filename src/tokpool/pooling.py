@@ -131,38 +131,27 @@ def _repair_empty(centers, feats, occupied, medoids=None):
 
 def _lloyd(feats, obj_w, init_w, spec: PoolSpec):
     """Alternating assignment / center update until assignments stabilize."""
-    n, _ = feats.shape
     k = spec.k
-    medoid = spec.method in _MEDOID
-    init_idx = _init_indices(n, k, spec.init, init_w, spec.seed)
-
-    medoids = init_idx.astype(np.int64) if medoid else None
+    init_idx = _init_indices(feats.shape[0], k, spec.init, init_w, spec.seed)
+    medoids = init_idx.astype(np.int64) if spec.method in _MEDOID else None
     centers = feats[init_idx]
-    labels, errs = kernels.nearest_sq_dists(feats, centers)
-    prev = labels
-    iterations = 0
-    for step in range(spec.max_iters):
+    labels = kernels.nearest_sq_dists(feats, centers)[0]
+    for iterations in range(1, spec.max_iters + 1):  # PoolSpec: max_iters >= 1
         mass = np.bincount(labels, weights=obj_w, minlength=k)
         occupied = mass > 0  # a cluster of zero-weight tokens is repaired too
-        if medoid:
-            new_med = kernels.medoid_update(feats, labels, k, obj_w)
-            medoids[occupied] = new_med[occupied]
+        if medoids is not None:
+            medoids[occupied] = kernels.medoid_update(feats, labels, k, obj_w)[occupied]
             centers = feats[medoids]
-            if not occupied.all():
-                _repair_empty(centers, feats, occupied, medoids)
         else:
             sums = np.zeros((k, feats.shape[1]))
             np.add.at(sums, labels, obj_w[:, None] * feats)
             centers[occupied] = sums[occupied] / mass[occupied, None]
-            if not occupied.all():
-                _repair_empty(centers, feats, occupied)
-        labels, errs = kernels.nearest_sq_dists(feats, centers)
-        iterations = step + 1
+        if not occupied.all():
+            _repair_empty(centers, feats, occupied, medoids)
+        prev, (labels, errs) = labels, kernels.nearest_sq_dists(feats, centers)
         if np.array_equal(labels, prev):
             break
-        prev = labels
-    loss = float((obj_w * errs).sum())
-    return labels, centers, medoids, iterations, loss
+    return labels, centers, medoids, iterations, float((obj_w * errs).sum())
 
 
 def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
