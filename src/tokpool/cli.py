@@ -3,7 +3,12 @@
 Subcommands: ``cost``, ``pool``, ``score``, ``forward``, ``verify-filter``.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 verification
 failure. Results go to stdout or ``--out`` files; errors go to stderr.
-Identical argv (including seeds) produces byte-identical output.
+Identical argv (including seeds) produces byte-identical output. ``pool``,
+``score`` and ``cost`` depend on neither the numpy/BLAS build nor the BLAS
+thread count, by design; ``forward`` is byte-identical for one numpy/BLAS
+build and BLAS thread count, since its block products run BLAS; and
+``verify-filter``'s attention route runs BLAS products, so its printed
+deviation may depend on them.
 """
 
 from __future__ import annotations

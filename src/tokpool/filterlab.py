@@ -24,7 +24,9 @@ from .numerics import Rng, as_matrix
 
 NORM_TOL = 1e-9
 
-# Largest n x max(n, m) probe array: 2 GiB of float64; each route holds a few.
+# Largest n x max(n, m) probe array: 2 GiB of float64. A run's traced peak is
+# 7.1-7.6x one such array at n = m and 2.1-2.3x at n >> m (measured from
+# 1024 x 1024 to 4096 x 64), and its time grows as n^2 * m.
 MAX_PROBE_ELEMENTS = 2 ** 28
 
 

@@ -30,6 +30,7 @@ matrix is built.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,13 +131,19 @@ def _repair_empty(centers, feats, occupied, medoids=None):
 
 
 def _lloyd(feats, obj_w, init_w, spec: PoolSpec):
-    """Alternating assignment / center update until assignments stabilize."""
-    k = spec.k
-    init_idx = _init_indices(feats.shape[0], k, spec.init, init_w, spec.seed)
+    """Alternating assignment / center update until assignments stabilize.
+
+    The cap ``spec.max_iters`` ends the loop only where every cluster holds a
+    member: past it, each step's repair fills what the last step left empty,
+    for at most ``n`` steps, and none if fewer than K token rows are distinct
+    (no assignment fills every cluster then). ``iterations`` counts them all.
+    """
+    n, k = feats.shape[0], spec.k
+    init_idx = _init_indices(n, k, spec.init, init_w, spec.seed)
     medoids = init_idx.astype(np.int64) if spec.method in _MEDOID else None
     centers = feats[init_idx]
     labels = kernels.nearest_sq_dists(feats, centers)[0]
-    for iterations in range(1, spec.max_iters + 1):  # PoolSpec: max_iters >= 1
+    for iterations in itertools.count(1):
         mass = np.bincount(labels, weights=obj_w, minlength=k)
         occupied = mass > 0  # a cluster of zero-weight tokens is repaired too
         if medoids is not None:
@@ -150,6 +157,10 @@ def _lloyd(feats, obj_w, init_w, spec: PoolSpec):
             _repair_empty(centers, feats, occupied, medoids)
         prev, (labels, errs) = labels, kernels.nearest_sq_dists(feats, centers)
         if np.array_equal(labels, prev):
+            break
+        if iterations >= spec.max_iters and (
+                np.bincount(labels, minlength=k).all() or iterations >= spec.max_iters + n
+                or len(np.unique(feats, axis=0)) < k):
             break
     return labels, centers, medoids, iterations, float((obj_w * errs).sum())
 

@@ -317,6 +317,28 @@ class TestPool:
         assert code == 2 and "data error" in err and "at least one row" in err
         assert not (tmp_path / "o.tpm").exists()
 
+    @pytest.mark.parametrize("emit", [False, True], ids=["record", "emit-counts"])
+    @pytest.mark.parametrize("method, seed", [("kmeans", 709), ("wkmeans", 251)])
+    def test_iteration_cap_leaves_no_cluster_empty(self, capsys, tmp_path, method, seed, emit):
+        # one Lloyd step from topk init leaves a cluster empty on these inputs
+        rng = np.random.default_rng(seed)
+        src, out, asg = tmp_path / "f.tpm", tmp_path / "o.tpm", tmp_path / "a.json"
+        tpio.write_matrix(src, rng.standard_cauchy((12, 1)))
+        argv = ["pool", "--input", str(src), "--k", "4", "--method", method, "--iters", "1",
+                "--init", "topk", "--out", str(out), "--assignments", str(asg)]
+        if method == "wkmeans":
+            tpio.write_matrix(tmp_path / "w.tpm", rng.random((12, 1)))
+            argv += ["--weights", str(tmp_path / "w.tpm")]
+        if emit:
+            argv.append("--emit-counts")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        record = json.loads(asg.read_text())
+        counts = np.asarray(record["counts"])
+        assert (counts > 0).all() and counts.sum() == 11
+        assert record["iterations"] > 1  # the steps past the cap are counted
+        assert tpio.read_matrix(out).shape == (5, 1)
+
     def test_deterministic_output_files(self, capsys, tmp_path):
         src = tmp_path / "f.tpm"
         tpio.write_matrix(src, np.random.default_rng(3).normal(size=(9, 3)))

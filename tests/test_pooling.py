@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tokpool.errors import DataError, UsageError
@@ -296,8 +296,20 @@ def lloyd_cases(draw):
     return TokenSet(feats, weights), spec
 
 
+def _cap_repro(method, seed, **spec):
+    """12 Cauchy scalars (and, for wkmeans, weights) on which one Lloyd step
+    from topk init leaves a cluster empty at K=4."""
+    rng = np.random.default_rng(seed)
+    feats = rng.standard_cauchy((12, 1))
+    weights = rng.random(12) if method == "wkmeans" else None
+    return TokenSet(feats, weights), dict(method=method, k=4, **spec)
+
+
 @settings(max_examples=200, deadline=None)
 @given(lloyd_cases())
+# filling the empty cluster by repair alone, without the next step's update,
+# gave this one loss 8.29 at max_iters=1 and 14.33 at max_iters=2
+@example(_cap_repro("wkmeans", 251))
 def test_loss_non_increasing_in_iterations(case):
     # each extra Lloyd step either stops at a fixed point or lowers the
     # (weighted) objective the result reports
@@ -305,6 +317,54 @@ def test_loss_non_increasing_in_iterations(case):
     losses = [token_pool(f, PoolSpec(max_iters=t, **spec))[1].loss for t in range(1, 8)]
     for a, b in zip(losses, losses[1:]):
         assert b <= a + 1e-12 * max(1.0, a)
+
+
+@st.composite
+def distinct_cases(draw):
+    """Distinct Gaussian or Cauchy tokens, optional weights and counts, and a
+    spec for one of the four clustering methods with K below the token count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    protect = draw(st.booleans())
+    n = draw(st.integers(5, 40))
+    shape = (n, draw(st.integers(1, 4)))
+    feats = rng.standard_cauchy(shape) if draw(st.booleans()) else rng.normal(size=shape)
+    method = draw(st.sampled_from(["kmeans", "wkmeans", "kmedoids", "wkmedoids"]))
+    weights = rng.random(n) if method.startswith("w") or draw(st.booleans()) else None
+    counts = rng.uniform(0.5, 3.0, size=n) if draw(st.booleans()) else None
+    spec = dict(method=method, k=draw(st.integers(1, n - protect - 1)),
+                max_iters=draw(st.integers(1, 5)),
+                init=draw(st.sampled_from(["topk_weight", "random"])),
+                seed=draw(st.integers(0, 2 ** 32)), protect_first=protect)
+    return TokenSet(feats, weights, counts), spec
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(distinct_cases())
+@example(_cap_repro("kmeans", 709, max_iters=1))
+@example(_cap_repro("wkmeans", 251, max_iters=1))
+def test_no_cluster_left_without_members_on_distinct_tokens(case):
+    # the cap must not end the loop right after an update that leaves a
+    # k-means cluster empty: every cluster holds a member
+    f, spec = case
+    offset = int(spec.get("protect_first", True))
+    assume(len(np.unique(f.features[offset:], axis=0)) == f.n_tokens - offset)
+    out, res = token_pool(f, PoolSpec(**spec))
+    mult = f.counts[offset:] if f.counts is not None else np.ones(f.n_tokens - offset)
+    assert (res.counts > 0).all()
+    assert res.counts.sum() == pytest.approx(mult.sum(), rel=1e-12)
+    assert out.n_tokens == spec["k"] + offset
+
+
+@pytest.mark.parametrize("method", ["kmeans", "wkmeans", "kmedoids", "wkmedoids"])
+@pytest.mark.parametrize("max_iters", [1, 5])
+def test_duplicates_take_no_step_past_the_cap(method, max_iters):
+    # ten copies of one token and one other: no assignment fills K=3 clusters,
+    # so the loop must not run past the cap trying
+    pts = np.vstack([np.full((10, 3), 0.5), [[2.0, -1.0, 0.25]]])
+    _, res = token_pool(TokenSet(pts, np.ones(11)),
+                        PoolSpec(method, 3, max_iters=max_iters, protect_first=False))
+    assert res.iterations <= max_iters
+    assert res.counts.sum() == 11
 
 
 class TestInitAndDeterminism:
