@@ -428,6 +428,31 @@ class TestForward:
         assert lines[0] == "layer,tokens_in,tokens_out,k_target,loss,iterations"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("schedule", [[8, 5, 5, 2], [9, 0, 6, 6], None])
+    def test_trace_csv_holds_the_json_trace(self, capsys, tmp_path, schedule):
+        import dataclasses
+
+        from tokpool.pipeline import LayerTrace
+
+        cfg = self._write_desk_config(tmp_path, schedule)
+        src = tmp_path / "in.tpm"
+        tpio.write_matrix(src, np.random.default_rng(5).normal(size=(10, 16)))
+        traces = {}
+        for ext in ("json", "csv"):
+            trace = tmp_path / f"trace.{ext}"
+            code, out, err = run_cli(
+                capsys, "forward", "--config", str(cfg), "--input", str(src),
+                "--seed", "3", "--out", str(tmp_path / "o.tpm"), "--trace", str(trace),
+            )
+            assert (code, out, err) == (0, "", "")
+            traces[ext] = trace.read_text()
+        fields = [f.name for f in dataclasses.fields(LayerTrace)]
+        layers = json.loads(traces["json"])["layers"]
+        assert len(layers) == 4 and all(list(layer) == fields for layer in layers)
+        rows = [",".join("" if v is None else str(v) for v in layer.values())
+                for layer in layers]
+        assert traces["csv"] == "\n".join([",".join(fields)] + rows) + "\n"
+
     def test_no_schedule_keeps_all_tokens(self, capsys, tmp_path):
         cfg = self._write_desk_config(tmp_path)
         src = tmp_path / "in.tpm"

@@ -106,21 +106,46 @@ def test_pool_outputs(case, inputs, capsys):
     assert got == POOL_DIGESTS[case]
 
 
+COST_CASES = {
+    "": ["--config", "deit-s.json", "--schedule", "deit-s-sparsity5.json",
+         "--clustering", "kmedoids"],
+    "vit-b-384-": ["--config", "vit-b-384.json"],
+    "deit-ti-sparsity3-kmeans-": ["--config", "deit-ti.json", "--schedule",
+                                  "deit-s-sparsity3.json", "--clustering", "kmeans",
+                                  "--iters", "3"],
+}
+
+# keyed by COST_CASES key plus format
 COST_DIGESTS = {
     "table": "aa58464614c8acd5fdb86d2b9a85a64f5c025169f0b26d9fc1d114c480ddbd0a",
     "csv": "32303df624a281fba9a82fb6a9b6f248416811c5198b54b0d5b250fb0c5a919e",
     "json": "c57fb981af88cc0316623f7b4929e0f6684a3e5ad7210773b7bad2425936505f",
+    "vit-b-384-table": "c5910de8ad50919b3ecc84776e81bc8211ba20ad37dee748553cd48d3bef8472",
+    "vit-b-384-csv": "27de845f92ca43ab012080240f243686ee9336c686eae2cf1f752686dcafc875",
+    "vit-b-384-json": "4aee5adf0b98139c9390eb3161ddb63d0cd835a4357fa3ed173bd0fa38af95e8",
+    "deit-ti-sparsity3-kmeans-table": (
+        "cee5751ee3ba0ae84f973eb5f3967fe0af3cb3b7a1ad75fe3c12e8b89b1f0623"
+    ),
+    "deit-ti-sparsity3-kmeans-csv": (
+        "11e105b258b4363586c0f31ec112fb45c44ecb9e9a3bb388e14f9b079e35d945"
+    ),
+    "deit-ti-sparsity3-kmeans-json": (
+        "02ef14a8f32c5df1f74e5fadb8ae7aed9fc9de9c74478828f39ebfba547917b2"
+    ),
 }
 
 
-@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-def test_cost_outputs(fmt, capsys):
-    argv = [
-        "cost", "--config", str(FIXTURES / "configs" / "deit-s.json"),
-        "--schedule", str(FIXTURES / "schedules" / "deit-s-sparsity5.json"),
-        "--clustering", "kmedoids", "--format", fmt,
-    ]
-    assert main(argv) == 0
+def _fixture(name: str) -> str:
+    kind = "schedules" if "sparsity" in name else "configs"
+    return str(FIXTURES / kind / name)
+
+
+@pytest.mark.parametrize("key", list(COST_DIGESTS))
+def test_cost_outputs(key, capsys):
+    fmt = key.rsplit("-", 1)[-1]
+    case = COST_CASES[key[:-len(fmt)]]
+    argv = ["cost"] + [_fixture(a) if a.endswith(".json") else a for a in case]
+    assert main(argv + ["--format", fmt]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert _sha(captured.out.encode()) == COST_DIGESTS[fmt]
+    assert _sha(captured.out.encode()) == COST_DIGESTS[key]
