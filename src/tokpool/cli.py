@@ -104,11 +104,24 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _gflops(v: int) -> str:
-    return f"{v / 1e9:.4f}"
+def _csv(rows) -> str:
+    """Comma-separated lines, one per row; ``None`` is an empty cell."""
+    return "\n".join(",".join("" if v is None else str(v) for v in row) for row in rows)
+
+
+def _cost_rows(report: FlopReport) -> list:
+    """The report's layout: a header row, one row of flops per layer, and a
+    totals row with no token count."""
+    return [
+        ["layer", "tokens", *CATEGORIES, "total"],
+        *([i, lf.tokens, *(getattr(lf, c) for c in CATEGORIES), lf.total]
+          for i, lf in enumerate(report.per_layer)),
+        ["total", None, *(report.totals[c] for c in CATEGORIES), report.grand_total],
+    ]
 
 
 def _cost_json(config, report: FlopReport) -> str:
+    header, *body, _ = _cost_rows(report)
     payload = {
         "config": {
             "layers": config.layers,
@@ -118,11 +131,7 @@ def _cost_json(config, report: FlopReport) -> str:
             "mlp_ratio": config.mlp_ratio,
             "schedule": list(config.schedule) if config.schedule else None,
         },
-        "per_layer": [
-            {"layer": i, "tokens": lf.tokens, **{c: getattr(lf, c) for c in CATEGORIES},
-             "total": lf.total}
-            for i, lf in enumerate(report.per_layer)
-        ],
+        "per_layer": [dict(zip(header, row)) for row in body],
         "totals": report.totals,
         "grand_total": report.grand_total,
         "shares": breakdown_fractions(report),
@@ -130,40 +139,20 @@ def _cost_json(config, report: FlopReport) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _cost_csv(report: FlopReport) -> str:
-    lines = ["layer,tokens," + ",".join(CATEGORIES) + ",total"]
-    for i, lf in enumerate(report.per_layer):
-        cells = [str(i), str(lf.tokens)] + [str(getattr(lf, c)) for c in CATEGORIES]
-        lines.append(",".join(cells + [str(lf.total)]))
-    totals = report.totals
-    lines.append(
-        "total,," + ",".join(str(totals[c]) for c in CATEGORIES)
-        + f",{report.grand_total}"
-    )
-    return "\n".join(lines)
-
-
 def _cost_table(report: FlopReport) -> str:
-    head = f"{'layer':>5} {'tokens':>7}" + "".join(f"{c:>12}" for c in CATEGORIES) + f"{'total':>12}"
-    lines = [head, "-" * len(head)]
-    for i, lf in enumerate(report.per_layer):
-        row = f"{i:>5} {lf.tokens:>7}"
-        row += "".join(f"{_gflops(getattr(lf, c)):>12}" for c in CATEGORIES)
-        row += f"{_gflops(lf.total):>12}"
-        lines.append(row)
-    totals = report.totals
-    foot = f"{'all':>5} {'':>7}"
-    foot += "".join(f"{_gflops(totals[c]):>12}" for c in CATEGORIES)
-    foot += f"{_gflops(report.grand_total):>12}"
-    lines.append("-" * len(head))
-    lines.append(foot)
+    header, *body, totals = _cost_rows(report)
+    gflops = [[label, tokens, *(f"{v / 1e9:.4f}" for v in flops)]
+              for label, tokens, *flops in [*body, ["all", "", *totals[2:]]]]
+    head, *lines, foot = [f"{label:>5} {tokens:>7}" + "".join(f"{v:>12}" for v in cells)
+                          for label, tokens, *cells in [header, *gflops]]
+    rule = "-" * len(head)
     shares = breakdown_fractions(report)
     fc = shares["qkv"] + shares["oproj"] + shares["mlp"]
-    lines.append(
+    return "\n".join([
+        head, rule, *lines, rule, foot,
         f"Gflops shown. attention share {shares['attention']:.3f}, "
-        f"fully-connected share {fc:.3f}, clustering share {shares['clustering']:.3f}"
-    )
-    return "\n".join(lines)
+        f"fully-connected share {fc:.3f}, clustering share {shares['clustering']:.3f}",
+    ])
 
 
 def _cmd_cost(args) -> int:
@@ -178,7 +167,7 @@ def _cmd_cost(args) -> int:
     if args.format == "json":
         print(_cost_json(config, report))
     elif args.format == "csv":
-        print(_cost_csv(report))
+        print(_csv(_cost_rows(report)))
     else:
         print(_cost_table(report))
     return 0
@@ -370,10 +359,8 @@ def _cmd_forward(args) -> int:
     outputs = [(args.out, final.features)]
     if args.trace:
         if args.trace.endswith(".csv"):  # plotting-friendly flat form
-            lines = [",".join(field.name for field in dataclasses.fields(pipeline.LayerTrace))]
-            for t in traces:
-                lines.append(",".join("" if v is None else str(v) for v in dataclasses.astuple(t)))
-            text = "\n".join(lines) + "\n"
+            header = [field.name for field in dataclasses.fields(pipeline.LayerTrace)]
+            text = _csv([header, *map(dataclasses.astuple, traces)]) + "\n"
         else:
             payload = {
                 "mode": config.mode,
