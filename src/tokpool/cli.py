@@ -136,7 +136,7 @@ def _cost_json(config, report: FlopReport) -> str:
         "grand_total": report.grand_total,
         "shares": breakdown_fractions(report),
     }
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def _cost_table(report: FlopReport) -> str:
@@ -185,6 +185,12 @@ def _read_tokens(path) -> np.ndarray:
             f"{path}: a token matrix needs at least one row and one column, "
             f"got {feats.shape[0]}x{feats.shape[1]}"
         )
+    # a loss sums at most N squared distances of M coordinates, each at most
+    # twice the largest magnitude apart; the bound keeps that sum finite
+    largest = max(-float(feats.min()), float(feats.max()))
+    if not feats.size * (2.0 * largest) * (2.0 * largest) <= sys.float_info.max:
+        raise DataError(f"{path}: entries up to {largest:.6g} in magnitude overflow the "
+                        f"squared distances of {feats.shape[0]} tokens of dim {feats.shape[1]}")
     return feats
 
 
@@ -192,6 +198,15 @@ def _check_distinct(args, first, second) -> None:
     a, b = getattr(args, first), getattr(args, second)
     if b is not None and os.path.realpath(a) == os.path.realpath(b):
         raise UsageError(f"--{first} and --{second} name the same file: {b}")
+
+
+def _json_text(path, payload) -> str:
+    """``payload`` as the JSON text of file ``path``; NaN and Infinity, which
+    JSON does not have, are a data error."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise DataError(f"{path}: refusing to write non-finite values") from None
 
 
 def _write_outputs(outputs) -> None:
@@ -267,7 +282,7 @@ def _cmd_pool(args) -> int:
             ),
             "counts": [float(v) for v in result.counts],
         }
-        outputs.append((args.assignments, json.dumps(record, indent=2) + "\n"))
+        outputs.append((args.assignments, _json_text(args.assignments, record)))
     _write_outputs(outputs)
     return 0
 
@@ -298,6 +313,9 @@ def _check_layer(path, config, layer, shapes) -> None:
                            shapes["wo"], shapes["mlp1"], shapes["mlp2"])
     except UsageError as exc:
         raise DataError(f"{path}: layer {layer}: {exc}") from None
+    if shapes["mlp1"][1] != config.mlp_ratio * m:
+        raise DataError(f"{path}: layer {layer}: mlp1 must be {m}x{config.mlp_ratio * m} "
+                        f"(mlp_ratio {config.mlp_ratio}), got {shapes['mlp1']}")
 
 
 def _layer_files(path, layer):
@@ -368,7 +386,7 @@ def _cmd_forward(args) -> int:
                 "final_tokens": final.n_tokens,
                 "layers": [dataclasses.asdict(t) for t in traces],
             }
-            text = json.dumps(payload, indent=2) + "\n"
+            text = _json_text(args.trace, payload)
         outputs.append((args.trace, text))
     _write_outputs(outputs)
     return 0

@@ -160,6 +160,8 @@ def read_attention_maps(path, heads: int) -> np.ndarray:
             f"{path}: shape {rows}x{n} does not factor into {heads} stacked "
             f"square maps"
         )
+    if n == 0:
+        raise DataError(f"{path}: attention maps cover no tokens")
     return flat.reshape(heads, n, n)
 
 

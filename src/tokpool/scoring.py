@@ -19,6 +19,8 @@ def significance(maps) -> np.ndarray:
     maps = np.asarray(maps)
     if maps.ndim != 3 or maps.shape[1] != maps.shape[2]:
         raise UsageError(f"attention maps must be (H, N, N), got {maps.shape}")
+    if maps.size == 0:
+        raise DataError(f"attention maps need at least one head and one token, got {maps.shape}")
     if not np.isfinite(maps).all():
         raise DataError("attention maps contain non-finite entries")
     if (maps < 0).any():

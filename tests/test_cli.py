@@ -339,6 +339,58 @@ class TestPool:
         assert record["iterations"] > 1  # the steps past the cap are counted
         assert tpio.read_matrix(out).shape == (5, 1)
 
+    @pytest.mark.parametrize("method, scale", [
+        ("kmeans", 1e307), ("wkmeans", 1e307), ("kmedoids", 1e307), ("random", 1e307),
+        ("kmedoids", 1.7e308),
+    ])
+    def test_entries_overflowing_squared_distances_are_data_error(self, capsys, tmp_path,
+                                                                 method, scale):
+        src, wfile = tmp_path / "big.csv", tmp_path / "w.csv"
+        feats = np.random.default_rng(1).normal(size=(12, 3))
+        tpio.write_matrix(src, np.clip(feats, -1, 1) * scale)
+        tpio.write_matrix(wfile, np.ones((12, 1)))
+        weights = ["--weights", str(wfile)] if method == "wkmeans" else []
+        out, rec = tmp_path / "o.csv", tmp_path / "a.json"
+        code, stdout, err = run_cli(
+            capsys, "pool", "--input", str(src), "--k", "3", "--method", method, *weights,
+            "--out", str(out), "--assignments", str(rec),
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"data error: {src}: entries up to ") and err.count("\n") == 1
+        assert "overflow the squared distances of 12 tokens of dim 3" in err
+        assert not out.exists() and not rec.exists()
+
+    def test_largest_entries_within_the_bound_pool(self, capsys, tmp_path):
+        # N * M * (2 * max|x|)^2 just below the largest double: every loss is finite
+        src, rec = tmp_path / "edge.csv", tmp_path / "a.json"
+        feats = np.clip(np.random.default_rng(1).normal(size=(12, 3)), -1, 1)
+        feats[0, 0], feats[1, 0] = 1.0, -1.0
+        tpio.write_matrix(src, feats * np.sqrt(np.finfo(np.float64).max / (4 * 36)) * 0.999)
+        for method in ("kmeans", "kmedoids", "random"):
+            code, _, err = run_cli(
+                capsys, "pool", "--input", str(src), "--k", "1", "--method", method,
+                "--no-protect-first", "--out", str(tmp_path / "o.csv"),
+                "--assignments", str(rec),
+            )
+            assert (code, err) == (0, ""), method
+            assert np.isfinite(json.loads(rec.read_text())["loss"])
+
+    def test_non_finite_loss_is_not_written_as_json(self, capsys, tmp_path):
+        # weights near the largest double make the weighted loss overflow;
+        # JSON has no Infinity, so the record is refused and nothing is left
+        src, wfile = tmp_path / "in.csv", tmp_path / "w.csv"
+        tpio.write_matrix(src, np.random.default_rng(2).normal(size=(12, 3)) * 1e5)
+        tpio.write_matrix(wfile, np.full((12, 1), 1e300))
+        out, rec = tmp_path / "o.csv", tmp_path / "a.json"
+        with np.errstate(over="ignore"):
+            code, stdout, err = run_cli(
+                capsys, "pool", "--input", str(src), "--k", "3", "--method", "wkmeans",
+                "--weights", str(wfile), "--out", str(out), "--assignments", str(rec),
+            )
+        assert (code, stdout, err) == (
+            2, "", f"data error: {rec}: refusing to write non-finite values\n")
+        assert not out.exists() and not rec.exists()
+
     def test_deterministic_output_files(self, capsys, tmp_path):
         src = tmp_path / "f.tpm"
         tpio.write_matrix(src, np.random.default_rng(3).normal(size=(9, 3)))
@@ -379,6 +431,15 @@ class TestScore:
             "--out", str(tmp_path / "s.tpm"),
         )
         assert code == 2 and "data error" in err
+
+    def test_maps_covering_no_tokens_is_data_error(self, capsys, tmp_path):
+        amap, out = tmp_path / "a.tpm", tmp_path / "s.tpm"
+        tpio.write_attention_maps(amap, np.zeros((2, 0, 0)))
+        code, stdout, err = run_cli(
+            capsys, "score", "--attention", str(amap), "--heads", "2", "--out", str(out))
+        assert (code, stdout, err) == (2, "", f"data error: {amap}: attention maps cover "
+                                              "no tokens\n")
+        assert not out.exists()
 
 
 class TestForward:
@@ -659,6 +720,53 @@ class TestForward:
                        "(byte offset 24)\n")
         assert len(calls) == 2
         assert not (tmp_path / "o.tpm").exists()
+
+    @staticmethod
+    def _halve_mlp_width(wdir, layer):
+        tpio.write_matrix(wdir / f"layer{layer:02d}_mlp1.tpm", np.ones((16, 32)))
+        tpio.write_matrix(wdir / f"layer{layer:02d}_mlp2.tpm", np.ones((32, 16)))
+
+    def test_weights_dir_mlp_width_against_config_fails_before_any_block(
+            self, capsys, tmp_path, monkeypatch):
+        # 16 -> 32 -> 16 makes a block, but the config's mlp_ratio 4 says 64
+        wdir, run = self._weights_dir_run(capsys, tmp_path, 2)
+        self._halve_mlp_width(wdir, 1)
+        calls = self._count_blocks(monkeypatch)
+        code, out, err = run()
+        assert (code, out, err) == (
+            2, "", f"data error: {wdir}: layer 1: mlp1 must be 16x64 (mlp_ratio 4), "
+                   "got (16, 32)\n")
+        assert calls == []
+        assert not (tmp_path / "o.tpm").exists()
+
+    def test_weights_dir_mlp_width_changed_after_checks_fails_on_reread(
+            self, capsys, tmp_path, monkeypatch):
+        wdir, run = self._weights_dir_run(capsys, tmp_path, 4)
+        calls = self._count_blocks(
+            monkeypatch, lambda block: block == 0 and self._halve_mlp_width(wdir, 2))
+        code, out, err = run()
+        assert (code, out, err) == (
+            2, "", f"data error: {wdir}: layer 2: mlp1 must be 16x64 (mlp_ratio 4), "
+                   "got (16, 32)\n")
+        assert len(calls) == 2
+        assert not (tmp_path / "o.tpm").exists()
+
+    def test_entries_overflowing_squared_distances_are_data_error(
+            self, capsys, tmp_path, monkeypatch):
+        cfg = self._write_desk_config(tmp_path, [4, 2, 2, 2])
+        src = tmp_path / "in.csv"
+        tpio.write_matrix(src, np.random.default_rng(5).normal(size=(10, 16)) * 1e307)
+        out, trace = tmp_path / "o.tpm", tmp_path / "t.json"
+        calls = self._count_blocks(monkeypatch)
+        code, stdout, err = run_cli(
+            capsys, "forward", "--config", str(cfg), "--input", str(src), "--seed", "1",
+            "--out", str(out), "--trace", str(trace),
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"data error: {src}: entries up to ") and err.count("\n") == 1
+        assert "overflow the squared distances of 10 tokens of dim 16" in err
+        assert calls == []
+        assert not out.exists() and not trace.exists()
 
     def test_weights_dir_walk_reads_each_file_once_in_order(self, tmp_path, monkeypatch):
         # the check pass reads every file once, layer by layer, in

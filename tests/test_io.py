@@ -172,6 +172,13 @@ class TestAttentionMaps:
         with pytest.raises(DataError):
             tpio.read_attention_maps(path, heads=3)
 
+    def test_maps_covering_no_tokens(self, tmp_path):
+        path = tmp_path / "a.tpm"
+        tpio.write_attention_maps(path, np.zeros((2, 0, 0)))
+        with pytest.raises(DataError) as err:
+            tpio.read_attention_maps(path, heads=2)
+        assert str(err.value) == f"{path}: attention maps cover no tokens"
+
     @pytest.mark.parametrize("maps, shape", [
         (np.zeros((2, 3, 4)), "(2, 3, 4)"), (np.eye(3), "(3, 3)"),
     ])

@@ -74,6 +74,14 @@ def test_rejects_bad_shape():
         significance(np.zeros((2, 3, 4)))
 
 
+@pytest.mark.parametrize("shape", [(2, 0, 0), (0, 3, 3), (0, 0, 0)])
+def test_no_head_or_no_token_is_data_error(shape):
+    with pytest.raises(DataError) as err:
+        significance(np.zeros(shape, dtype=np.float32))
+    assert str(err.value) == (
+        f"attention maps need at least one head and one token, got {shape}")
+
+
 def float32_maps(heads, n, rng, peak=1, zeros=0.0):
     """Row-stochastic maps, normalized in float64 and then rounded to float32,
     so each row sums to 1 within 2**-24. ``peak`` > 1 concentrates the mass;
