@@ -185,8 +185,8 @@ def _read_tokens(path) -> np.ndarray:
             f"{path}: a token matrix needs at least one row and one column, "
             f"got {feats.shape[0]}x{feats.shape[1]}"
         )
-    # a loss sums at most N squared distances of M coordinates, each at most
-    # twice the largest magnitude apart; the bound keeps that sum finite
+    # a loss sums at most N squared distances, each over M coordinates that
+    # differ by at most twice the largest magnitude; the bound keeps it finite
     largest = max(-float(feats.min()), float(feats.max()))
     if not feats.size * (2.0 * largest) * (2.0 * largest) <= sys.float_info.max:
         raise DataError(f"{path}: entries up to {largest:.6g} in magnitude overflow the "
