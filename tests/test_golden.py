@@ -106,6 +106,25 @@ def test_pool_outputs(case, inputs, capsys):
     assert got == POOL_DIGESTS[case]
 
 
+# the same argv with a CSV --out; the record is the one POOL_DIGESTS pins
+POOL_CSV_DIGESTS = {
+    "kmeans": "86225e0320fc574918b80fd6bb4b5a5a7f3f4345d120162b0f2c63d7a92bd388",
+    "wkmedoids": "7389a4e37f4ea13a693e8344e116a5c48e666e9ff74c98b14a9aa87d9e6be39d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(POOL_CSV_DIGESTS))
+def test_pool_csv_outputs(case, inputs, capsys):
+    tmp_path, tokens, wfile = inputs
+    out, rec = tmp_path / "out.csv", tmp_path / "rec.json"
+    argv = ["pool", "--input", tokens, "--out", str(out), "--assignments", str(rec)]
+    argv += [a.format(w=wfile) for a in POOL_CASES[case]]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    got = (_sha(out.read_bytes()), _sha(rec.read_bytes()))
+    assert got == (POOL_CSV_DIGESTS[case], POOL_DIGESTS[case][1])
+
+
 COST_CASES = {
     "": ["--config", "deit-s.json", "--schedule", "deit-s-sparsity5.json",
          "--clustering", "kmedoids"],
