@@ -104,11 +104,6 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _csv(rows) -> str:
-    """Comma-separated lines, one per row; ``None`` is an empty cell."""
-    return "\n".join(",".join("" if v is None else str(v) for v in row) for row in rows)
-
-
 def _cost_rows(report: FlopReport) -> list:
     """The report's layout: a header row, one row of flops per layer, and a
     totals row with no token count."""
@@ -120,9 +115,9 @@ def _cost_rows(report: FlopReport) -> list:
     ]
 
 
-def _cost_json(config, report: FlopReport) -> str:
+def _cost_json(config, report: FlopReport) -> dict:
     header, *body, _ = _cost_rows(report)
-    payload = {
+    return {
         "config": {
             "layers": config.layers,
             "dim": config.dim,
@@ -136,7 +131,6 @@ def _cost_json(config, report: FlopReport) -> str:
         "grand_total": report.grand_total,
         "shares": breakdown_fractions(report),
     }
-    return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def _cost_table(report: FlopReport) -> str:
@@ -165,9 +159,9 @@ def _cmd_cost(args) -> int:
             raise DataError(f"{args.schedule}: {exc}") from None
     report = model_flops(config, args.clustering, args.iters)
     if args.format == "json":
-        print(_cost_json(config, report))
+        print(_json_text("stdout", _cost_json(config, report)), end="")
     elif args.format == "csv":
-        print(_csv(_cost_rows(report)))
+        print("".join(tpio.csv_lines(_cost_rows(report))), end="")
     else:
         print(_cost_table(report))
     return 0
@@ -378,7 +372,7 @@ def _cmd_forward(args) -> int:
     if args.trace:
         if args.trace.endswith(".csv"):  # plotting-friendly flat form
             header = [field.name for field in dataclasses.fields(pipeline.LayerTrace)]
-            text = _csv([header, *map(dataclasses.astuple, traces)]) + "\n"
+            text = "".join(tpio.csv_lines([header, *map(dataclasses.astuple, traces)]))
         else:
             payload = {
                 "mode": config.mode,

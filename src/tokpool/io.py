@@ -35,6 +35,13 @@ _CONFIG_KEYS = {"layers", "dim", "heads", "tokens", "mlp_ratio", "schedule", "al
 _REQUIRED_KEYS = {"layers", "dim", "heads", "tokens"}
 
 
+def csv_lines(rows):
+    """One ``a,b,c`` line per row, newline included; ``None`` is an empty
+    cell and any other cell is written with ``str``."""
+    for row in rows:
+        yield ",".join("" if v is None else str(v) for v in row) + "\n"
+
+
 def write_matrix(path, m) -> None:
     """Write a matrix as TPM1 (``.tpm``) or CSV (``.csv``), by extension."""
     path = Path(path)
@@ -55,9 +62,7 @@ def write_matrix(path, m) -> None:
             fh.write(payload.tobytes(order="C"))
     elif path.suffix == ".csv":
         with open(path, "w", encoding="utf-8") as fh:
-            for row in arr:
-                fh.write(",".join(repr(float(v)) for v in row))
-                fh.write("\n")
+            fh.writelines(csv_lines(row.tolist() for row in arr))
     else:
         raise UsageError(f"{path}: unknown matrix extension (use .tpm or .csv)")
 
