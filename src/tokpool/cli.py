@@ -188,10 +188,14 @@ def _read_tokens(path) -> np.ndarray:
     return feats
 
 
-def _check_distinct(args, first, second) -> None:
-    a, b = getattr(args, first), getattr(args, second)
-    if b is not None and os.path.realpath(a) == os.path.realpath(b):
-        raise UsageError(f"--{first} and --{second} name the same file: {b}")
+def _check_outputs(args, second=None) -> None:
+    """Usage checks on the output paths, made before any input is read:
+    ``--out`` and the ``second`` output name two files, and ``--out`` has a
+    matrix extension."""
+    b = None if second is None else getattr(args, second)
+    if b is not None and os.path.realpath(args.out) == os.path.realpath(b):
+        raise UsageError(f"--out and --{second} name the same file: {b}")
+    tpio.matrix_format(args.out)
 
 
 def _json_text(path, payload) -> str:
@@ -225,33 +229,13 @@ def _write_outputs(outputs) -> None:
 
 
 def _cmd_pool(args) -> int:
-    _check_distinct(args, "out", "assignments")
-    feats = _read_tokens(args.input)
-    n = feats.shape[0]
-    weights = None
+    _check_outputs(args, "assignments")
     if args.weights and args.scores_from:
         raise UsageError("give either --weights or --scores-from, not both")
-    if args.weights:
-        weights = tpio.read_matrix(args.weights)
-        if weights.shape[1] != 1:
-            raise DataError(f"{args.weights}: weights must be one column (N x 1), "
-                            f"got {weights.shape[0]}x{weights.shape[1]}")
-        if weights.shape[0] != n:
-            raise DataError(f"{args.weights}: expected {n} weights, got {weights.shape[0]}")
-    elif args.scores_from:
-        if args.heads is None:
-            raise UsageError("--scores-from requires --heads")
-        maps = tpio.read_attention_maps(args.scores_from, args.heads)
-        if maps.shape[1] != n:
-            raise DataError(
-                f"{args.scores_from}: maps cover {maps.shape[1]} tokens, input has {n}"
-            )
-        weights = significance(maps)
-        del maps  # the maps are not held while pooling runs
-    grid = tuple(args.grid) if args.grid else None
-    if args.method == "grid" and grid is None:
+    if args.scores_from and args.heads is None:
+        raise UsageError("--scores-from requires --heads")
+    if args.method == "grid" and args.grid is None:
         raise UsageError("the grid method requires --grid H W")
-    tokens = TokenSet(feats, weights, np.ones(n) if args.unit_counts else None, grid)
     spec = pooling.PoolSpec(
         method=args.method,
         k=args.k,
@@ -260,6 +244,35 @@ def _cmd_pool(args) -> int:
         seed=args.seed,
         protect_first=not args.no_protect_first,
     )
+    feats = _read_tokens(args.input)
+    n = feats.shape[0]
+    weights = None
+    if args.weights:
+        weights = tpio.read_matrix(args.weights)
+        if weights.shape[1] != 1:
+            raise DataError(f"{args.weights}: weights must be one column (N x 1), "
+                            f"got {weights.shape[0]}x{weights.shape[1]}")
+        if weights.shape[0] != n:
+            raise DataError(f"{args.weights}: expected {n} weights, got {weights.shape[0]}")
+    elif args.scores_from:
+        maps = tpio.read_attention_maps(args.scores_from, args.heads)
+        if maps.shape[1] != n:
+            raise DataError(
+                f"{args.scores_from}: maps cover {maps.shape[1]} tokens, input has {n}"
+            )
+        weights = significance(maps)
+        del maps  # the maps are not held while pooling runs
+    grid = tuple(args.grid) if args.grid else None
+    tokens = TokenSet(feats, weights, np.ones(n) if args.unit_counts else None, grid)
+    if weights is not None and args.method in ("wkmeans", "wkmedoids"):
+        # _read_tokens' bound with the total weight in place of N keeps every
+        # weighted loss, medoid cost and center sum finite
+        largest = max(-float(feats.min()), float(feats.max()))
+        total = float(tokens.weights.sum())
+        if not total * feats.shape[1] * (2.0 * largest) * (2.0 * largest) <= sys.float_info.max:
+            raise DataError(f"{args.weights or args.scores_from}: weights summing to "
+                            f"{total:.6g} overflow the weighted squared distances of {n} "
+                            f"tokens of dim {feats.shape[1]} with entries up to {largest:.6g}")
     pooled, result = pooling.token_pool(tokens, spec)
     outputs = [(args.out, pooled.features)]
     if args.assignments:
@@ -282,6 +295,7 @@ def _cmd_pool(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    _check_outputs(args)
     maps = tpio.read_attention_maps(args.attention, args.heads)
     _write_outputs([(args.out, significance(maps).reshape(-1, 1))])
     return 0
@@ -347,7 +361,7 @@ class _WeightsDir:
 def _cmd_forward(args) -> int:
     if args.weights_dir and args.seed is not None:
         raise UsageError("give either --seed or --weights-dir, not both")
-    _check_distinct(args, "out", "trace")
+    _check_outputs(args, "trace")
     config = tpio.read_config(args.config)
     feats = _read_tokens(args.input)
     if feats.shape != (config.tokens, config.dim):

@@ -42,6 +42,14 @@ def csv_lines(rows):
         yield ",".join("" if v is None else str(v) for v in row) + "\n"
 
 
+def matrix_format(path) -> str:
+    """``"tpm"`` or ``"csv"``, by the extension of matrix file ``path``."""
+    path = Path(path)
+    if path.suffix not in (".tpm", ".csv"):
+        raise UsageError(f"{path}: unknown matrix extension (use .tpm or .csv)")
+    return path.suffix[1:]
+
+
 def write_matrix(path, m) -> None:
     """Write a matrix as TPM1 (``.tpm``) or CSV (``.csv``), by extension."""
     path = Path(path)
@@ -50,7 +58,7 @@ def write_matrix(path, m) -> None:
         raise UsageError(f"can only write 2-D matrices, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DataError(f"{path}: refusing to write non-finite values")
-    if path.suffix == ".tpm":
+    if matrix_format(path) == "tpm":
         with np.errstate(over="ignore"):  # overflow is detected and reported below
             payload = arr.astype("<f4")
         if not np.isfinite(payload).all():
@@ -60,11 +68,9 @@ def write_matrix(path, m) -> None:
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, arr.shape[0], arr.shape[1]))
             fh.write(payload.tobytes(order="C"))
-    elif path.suffix == ".csv":
+    else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(csv_lines(row.tolist() for row in arr))
-    else:
-        raise UsageError(f"{path}: unknown matrix extension (use .tpm or .csv)")
 
 
 def read_matrix(path) -> np.ndarray:
@@ -72,11 +78,7 @@ def read_matrix(path) -> np.ndarray:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{path}: no such file")
-    if path.suffix == ".tpm":
-        return _read_tpm(path)
-    if path.suffix == ".csv":
-        return _read_csv(path)
-    raise UsageError(f"{path}: unknown matrix extension (use .tpm or .csv)")
+    return _read_tpm(path) if matrix_format(path) == "tpm" else _read_csv(path)
 
 
 def _read_tpm(path: Path) -> np.ndarray:

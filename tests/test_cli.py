@@ -375,21 +375,98 @@ class TestPool:
             assert (code, err) == (0, ""), method
             assert np.isfinite(json.loads(rec.read_text())["loss"])
 
-    def test_non_finite_loss_is_not_written_as_json(self, capsys, tmp_path):
-        # weights near the largest double make the weighted loss overflow;
-        # JSON has no Infinity, so the record is refused and nothing is left
+    def test_non_finite_loss_is_not_written_as_json(self, capsys, tmp_path, monkeypatch):
+        # JSON has no Infinity, so a record holding one is refused and nothing
+        # is left; the input bounds keep every pooled loss finite, so the
+        # overflowed loss is put in after pooling
+        real = tokpool.pooling.token_pool
+
+        def overflowing(*args, **kwargs):
+            pooled, result = real(*args, **kwargs)
+            result.loss = float("inf")
+            return pooled, result
+
+        monkeypatch.setattr(tokpool.pooling, "token_pool", overflowing)
+        src, wfile = tmp_path / "in.csv", tmp_path / "w.csv"
+        tpio.write_matrix(src, np.random.default_rng(2).normal(size=(12, 3)) * 1e5)
+        tpio.write_matrix(wfile, np.ones((12, 1)))
+        out, rec = tmp_path / "o.csv", tmp_path / "a.json"
+        code, stdout, err = run_cli(
+            capsys, "pool", "--input", str(src), "--k", "3", "--method", "wkmeans",
+            "--weights", str(wfile), "--out", str(out), "--assignments", str(rec),
+        )
+        assert (code, stdout, err) == (
+            2, "", f"data error: {rec}: refusing to write non-finite values\n")
+        assert not out.exists() and not rec.exists()
+
+    @pytest.mark.parametrize("assignments", [False, True], ids=["no-record", "record"])
+    @pytest.mark.parametrize("method", ["wkmeans", "wkmedoids"])
+    def test_weights_overflowing_weighted_squared_distances_are_data_error(
+            self, capsys, tmp_path, method, assignments):
+        # the features pass the unweighted bound; their weights' total does not
         src, wfile = tmp_path / "in.csv", tmp_path / "w.csv"
         tpio.write_matrix(src, np.random.default_rng(2).normal(size=(12, 3)) * 1e5)
         tpio.write_matrix(wfile, np.full((12, 1), 1e300))
         out, rec = tmp_path / "o.csv", tmp_path / "a.json"
-        with np.errstate(over="ignore"):
-            code, stdout, err = run_cli(
-                capsys, "pool", "--input", str(src), "--k", "3", "--method", "wkmeans",
-                "--weights", str(wfile), "--out", str(out), "--assignments", str(rec),
-            )
-        assert (code, stdout, err) == (
-            2, "", f"data error: {rec}: refusing to write non-finite values\n")
+        record = ["--assignments", str(rec)] if assignments else []
+        code, stdout, err = run_cli(
+            capsys, "pool", "--input", str(src), "--k", "3", "--method", method,
+            "--weights", str(wfile), "--out", str(out), *record,
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"data error: {wfile}: weights summing to 1.2e+301 overflow "
+                              "the weighted squared distances of 12 tokens of dim 3 with "
+                              "entries up to ") and err.count("\n") == 1, err
         assert not out.exists() and not rec.exists()
+
+    def test_significance_overflowing_weighted_squared_distances_is_data_error(
+            self, capsys, tmp_path):
+        # features just inside the unweighted bound; two heads' significance
+        # sums to 2N, which doubles it
+        src, amap = tmp_path / "edge.csv", tmp_path / "a.tpm"
+        feats = np.clip(np.random.default_rng(1).normal(size=(12, 3)), -1, 1)
+        tpio.write_matrix(src, feats * np.sqrt(np.finfo(np.float64).max / (4 * 36)) * 0.999)
+        tpio.write_attention_maps(amap, np.full((2, 12, 12), 1 / 12))
+        out = tmp_path / "o.tpm"
+        code, stdout, err = run_cli(
+            capsys, "pool", "--input", str(src), "--k", "3", "--method", "wkmedoids",
+            "--scores-from", str(amap), "--heads", "2", "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"data error: {amap}: weights summing to 24 overflow ")
+        assert err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["wkmeans", "wkmedoids"])
+    def test_weights_within_the_weighted_bound_pool(self, capsys, tmp_path, method):
+        # sum(w) * M * (2 * max|x|)^2 just below the largest double
+        src, wfile, rec = tmp_path / "in.csv", tmp_path / "w.csv", tmp_path / "a.json"
+        feats = np.clip(np.random.default_rng(1).normal(size=(12, 3)), -1, 1)
+        feats[0, 0], feats[1, 0] = 1.0, -1.0
+        tpio.write_matrix(src, feats)
+        tpio.write_matrix(wfile, np.full((12, 1), np.finfo(np.float64).max / (4 * 36) * 0.999))
+        code, _, err = run_cli(
+            capsys, "pool", "--input", str(src), "--k", "3", "--method", method,
+            "--weights", str(wfile), "--out", str(tmp_path / "o.csv"), "--assignments", str(rec),
+        )
+        assert (code, err) == (0, "")
+        assert np.isfinite(json.loads(rec.read_text())["loss"])
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "kmeans", "--weights", "w.tpm", "--scores-from", "m.tpm"],
+         "give either --weights or --scores-from, not both"),
+        (["--method", "wkmeans", "--scores-from", "m.tpm"], "--scores-from requires --heads"),
+        (["--method", "grid", "--scores-from", "m.tpm", "--heads", "2"],
+         "the grid method requires --grid H W"),
+    ], ids=["weights-and-scores", "scores-without-heads", "grid-without-grid"])
+    def test_usage_error_comes_before_any_read(self, capsys, tmp_path, monkeypatch,
+                                              flags, message):
+        # the input does not exist, so a read before the check would exit 2
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "pool", "--input", "missing.tpm", "--k", "3", *flags,
+                                 "--out", "o.tpm")
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_output_files(self, capsys, tmp_path):
         src = tmp_path / "f.tpm"
@@ -923,6 +1000,21 @@ class TestForward:
         assert code == 1 and "usage error" in err
         assert blocks_run == []
 
+    def test_unknown_out_extension_fails_before_any_block(self, capsys, tmp_path, monkeypatch):
+        cfg = self._write_desk_config(tmp_path, [8, 5, 5, 2])
+        src = tmp_path / "in.tpm"
+        tpio.write_matrix(src, np.random.default_rng(9).normal(size=(10, 16)))
+        out, trace = tmp_path / "o.txt", tmp_path / "t.json"
+        calls = self._count_blocks(monkeypatch)
+        code, stdout, err = run_cli(
+            capsys, "forward", "--config", str(cfg), "--input", str(src), "--seed", "1",
+            "--out", str(out), "--trace", str(trace),
+        )
+        assert (code, stdout, err) == (
+            1, "", f"usage error: {out}: unknown matrix extension (use .tpm or .csv)\n")
+        assert calls == []
+        assert not out.exists() and not trace.exists()
+
     def test_seed_and_weights_dir_conflict(self, capsys, tmp_path):
         cfg = self._write_desk_config(tmp_path)
         src = tmp_path / "in.tpm"
@@ -1045,6 +1137,20 @@ class TestArgHandling:
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "o.tpm").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "in.tpm"]
+
+    @pytest.mark.parametrize("argv", [
+        ["pool", "--input", "missing.tpm", "--k", "3", "--method", "kmeans", "--out", "o.txt"],
+        ["score", "--attention", "missing.tpm", "--heads", "2", "--out", "o.txt"],
+        ["forward", "--config", "missing.json", "--input", "missing.tpm", "--seed", "1",
+         "--out", "o.txt"],
+    ], ids=["pool", "score", "forward"])
+    def test_unknown_out_extension_is_usage_error_before_any_read(self, capsys, tmp_path,
+                                                                  monkeypatch, argv):
+        # the inputs do not exist, so a read before the check would exit 2
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *argv) == (
+            1, "", "usage error: o.txt: unknown matrix extension (use .tpm or .csv)\n")
+        assert list(tmp_path.iterdir()) == []
 
     @staticmethod
     def _inputs(tmp_path):
