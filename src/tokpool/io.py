@@ -8,7 +8,8 @@ array, the file's own type; every reader widens it to float64 before its
 arithmetic (a float64 @ float32 product widens the float32 operand exactly,
 so the bits are those of a float64 matrix). CSV matrices are read as float64.
 
-CSV matrix files (``.csv``): comma-separated, no header, one row per line.
+CSV matrix files (``.csv``): comma-separated, no header, one row per line,
+each value as the shortest text that reads back to the same double.
 
 Config files: a JSON object with keys ``layers``, ``dim``, ``heads``,
 ``tokens``, and optional ``mlp_ratio`` (default 4), ``schedule`` (array of
