@@ -172,6 +172,15 @@ def _cmd_cost(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _overflowing(feats, mass):
+    """max|x| of ``feats`` if mass·M·(2·max|x|)² overflows, else None: a loss
+    of total weight ``mass`` sums squared distances below M·(2·max|x|)²."""
+    largest = max(-float(feats.min()), float(feats.max()))
+    if mass * feats.shape[1] * (2.0 * largest) * (2.0 * largest) <= sys.float_info.max:
+        return None
+    return largest
+
+
 def _read_tokens(path) -> np.ndarray:
     feats = tpio.read_matrix(path)
     if feats.size == 0:
@@ -179,10 +188,8 @@ def _read_tokens(path) -> np.ndarray:
             f"{path}: a token matrix needs at least one row and one column, "
             f"got {feats.shape[0]}x{feats.shape[1]}"
         )
-    # a loss sums at most N squared distances, each over M coordinates that
-    # differ by at most twice the largest magnitude; the bound keeps it finite
-    largest = max(-float(feats.min()), float(feats.max()))
-    if not feats.size * (2.0 * largest) * (2.0 * largest) <= sys.float_info.max:
+    largest = _overflowing(feats, feats.shape[0])
+    if largest is not None:
         raise DataError(f"{path}: entries up to {largest:.6g} in magnitude overflow the "
                         f"squared distances of {feats.shape[0]} tokens of dim {feats.shape[1]}")
     return feats
@@ -265,11 +272,11 @@ def _cmd_pool(args) -> int:
     grid = tuple(args.grid) if args.grid else None
     tokens = TokenSet(feats, weights, np.ones(n) if args.unit_counts else None, grid)
     if weights is not None and args.method in ("wkmeans", "wkmedoids"):
-        # _read_tokens' bound with the total weight in place of N keeps every
-        # weighted loss, medoid cost and center sum finite
-        largest = max(-float(feats.min()), float(feats.max()))
+        # with the total weight as the mass, the bound also keeps every
+        # medoid cost and center sum finite
         total = float(tokens.weights.sum())
-        if not total * feats.shape[1] * (2.0 * largest) * (2.0 * largest) <= sys.float_info.max:
+        largest = _overflowing(feats, total)
+        if largest is not None:
             raise DataError(f"{args.weights or args.scores_from}: weights summing to "
                             f"{total:.6g} overflow the weighted squared distances of {n} "
                             f"tokens of dim {feats.shape[1]} with entries up to {largest:.6g}")
