@@ -199,9 +199,9 @@ def _check_outputs(args, second=None) -> None:
     """Usage checks on the output paths, made before any input is read:
     ``--out`` and the ``second`` output name two files, and ``--out`` has a
     matrix extension."""
-    b = None if second is None else getattr(args, second)
-    if b is not None and os.path.realpath(args.out) == os.path.realpath(b):
-        raise UsageError(f"--out and --{second} name the same file: {b}")
+    other = None if second is None else getattr(args, second)
+    if other is not None and os.path.realpath(args.out) == os.path.realpath(other):
+        raise UsageError(f"--out and --{second} name the same file: {other}")
     tpio.matrix_format(args.out)
 
 
