@@ -241,6 +241,8 @@ def _cmd_pool(args) -> int:
         raise UsageError("give either --weights or --scores-from, not both")
     if args.scores_from and args.heads is None:
         raise UsageError("--scores-from requires --heads")
+    if args.scores_from and args.heads < 1:
+        raise UsageError("heads must be >= 1")
     if args.method == "grid" and args.grid is None:
         raise UsageError("the grid method requires --grid H W")
     spec = pooling.PoolSpec(
@@ -262,15 +264,11 @@ def _cmd_pool(args) -> int:
         if weights.shape[0] != n:
             raise DataError(f"{args.weights}: expected {n} weights, got {weights.shape[0]}")
     elif args.scores_from:
-        maps = tpio.read_attention_maps(args.scores_from, args.heads)
-        if maps.shape[1] != n:
-            raise DataError(
-                f"{args.scores_from}: maps cover {maps.shape[1]} tokens, input has {n}"
-            )
-        weights = significance(maps)
-        del maps  # the maps are not held while pooling runs
-    grid = tuple(args.grid) if args.grid else None
-    tokens = TokenSet(feats, weights, np.ones(n) if args.unit_counts else None, grid)
+        weights = significance(tpio.read_attention_maps(args.scores_from, args.heads))
+        if weights.shape[0] != n:
+            raise DataError(f"{args.scores_from}: maps cover {weights.shape[0]} tokens, "
+                            f"input has {n}")
+    tokens = TokenSet(feats, weights, np.ones(n) if args.unit_counts else None, args.grid)
     if weights is not None and args.method in ("wkmeans", "wkmedoids"):
         # with the total weight as the mass, the bound also keeps every
         # medoid cost and center sum finite
@@ -289,12 +287,10 @@ def _cmd_pool(args) -> int:
             "protect_first": not args.no_protect_first,
             "iterations": result.iterations,
             "loss": result.loss,
-            "assignment": [int(v) for v in result.assignment],
-            "medoid_indices": (
-                None if result.medoid_indices is None
-                else [int(v) for v in result.medoid_indices]
-            ),
-            "counts": [float(v) for v in result.counts],
+            "assignment": result.assignment.tolist(),
+            "medoid_indices": (None if result.medoid_indices is None
+                               else result.medoid_indices.tolist()),
+            "counts": result.counts.tolist(),
         }
         outputs.append((args.assignments, _json_text(args.assignments, record)))
     _write_outputs(outputs)
