@@ -17,6 +17,7 @@ from tokpool.numerics import Rng
 from conftest import FIXTURES
 
 DEIT_S_CONFIG = str(FIXTURES / "configs" / "deit-s.json")
+SHIPPED_SCHEDULES = sorted((FIXTURES / "schedules").glob("*.json"))
 _NAMES = ("wq", "wk", "wv", "wo", "mlp1", "mlp2")
 
 
@@ -64,6 +65,16 @@ class TestCost:
         assert code == 0
         payload = json.loads(out)
         assert 0.05e9 <= payload["totals"]["clustering"] <= 0.2e9
+
+    def test_every_shipped_schedule_is_priced(self):
+        assert len(SHIPPED_SCHEDULES) == 24
+
+    @pytest.mark.parametrize("sched", SHIPPED_SCHEDULES, ids=lambda p: p.stem)
+    def test_shipped_schedule_prices_on_deit_s(self, capsys, sched):
+        assert len(tpio.read_schedule(sched)) == 12
+        code, out, err = run_cli(capsys, "cost", "--config", DEIT_S_CONFIG,
+                                 "--schedule", str(sched))
+        assert code == 0 and out and err == ""
 
     def test_deterministic_stdout(self, capsys):
         _, out1, _ = run_cli(capsys, "cost", "--config", DEIT_S_CONFIG, "--format", "json")
@@ -142,6 +153,30 @@ class TestPool:
         )
         assert code == 0 and err == ""
         assert tpio.read_matrix(out).shape == (4, 4)
+
+    @pytest.mark.parametrize("method", ["wkmeans", "wkmedoids", "importance"])
+    def test_scores_from_equals_weights_from_score_csv(self, capsys, tmp_path, method):
+        # a CSV keeps the float64 scores exactly, so both routes pool the same weights
+        rng = np.random.default_rng(8)
+        h, n = 3, 40
+        maps = rng.random((h, n, n))
+        maps /= maps.sum(axis=2, keepdims=True)
+        amap, src, scores = tmp_path / "a.tpm", tmp_path / "f.tpm", tmp_path / "s.csv"
+        tpio.write_attention_maps(amap, maps)
+        tpio.write_matrix(src, rng.normal(size=(n, 6)))
+        assert run_cli(capsys, "score", "--attention", str(amap), "--heads", str(h),
+                       "--out", str(scores)) == (0, "", "")
+        written = []
+        for route, flags in (("maps", ["--scores-from", str(amap), "--heads", str(h)]),
+                             ("csv", ["--weights", str(scores)])):
+            out, record = tmp_path / f"{route}.tpm", tmp_path / f"{route}.json"
+            code, _, err = run_cli(
+                capsys, "pool", "--input", str(src), "--k", "7", "--method", method,
+                "--seed", "3", *flags, "--out", str(out), "--assignments", str(record),
+            )
+            assert code == 0, err
+            written.append((out.read_bytes(), record.read_bytes()))
+        assert written[0] == written[1]
 
     def test_weights_and_scores_conflict(self, capsys, tmp_path):
         src = tmp_path / "f.tpm"
@@ -458,7 +493,9 @@ class TestPool:
         (["--method", "wkmeans", "--scores-from", "m.tpm"], "--scores-from requires --heads"),
         (["--method", "grid", "--scores-from", "m.tpm", "--heads", "2"],
          "the grid method requires --grid H W"),
-    ], ids=["weights-and-scores", "scores-without-heads", "grid-without-grid"])
+        (["--method", "wkmeans", "--scores-from", "m.tpm", "--heads", "0"],
+         "heads must be >= 1"),
+    ], ids=["weights-and-scores", "scores-without-heads", "grid-without-grid", "zero-heads"])
     def test_usage_error_comes_before_any_read(self, capsys, tmp_path, monkeypatch,
                                               flags, message):
         # the input does not exist, so a read before the check would exit 2
