@@ -66,7 +66,7 @@ class TestCost:
         payload = json.loads(out)
         assert 0.05e9 <= payload["totals"]["clustering"] <= 0.2e9
 
-    def test_every_shipped_schedule_is_priced(self):
+    def test_all_24_schedules_are_shipped(self):
         assert len(SHIPPED_SCHEDULES) == 24
 
     @pytest.mark.parametrize("sched", SHIPPED_SCHEDULES, ids=lambda p: p.stem)
