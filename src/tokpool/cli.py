@@ -28,7 +28,8 @@ from .costmodel import CATEGORIES, FlopReport, breakdown_fractions, model_flops
 from .errors import DataError, UsageError
 from .filterlab import verify_equivalence
 from .scoring import significance
-from .transformer import BlockWeights, TokenSet, check_block_shapes, synth_weights
+# synth_weights is not called here: perfbench/tracer.py wraps it by this name
+from .transformer import BlockWeights, SeededWeights, TokenSet, check_block_shapes, synth_weights
 
 _WEIGHT_NAMES = ("wq", "wk", "wv", "wo", "mlp1", "mlp2")
 
@@ -336,8 +337,9 @@ def _layer_files(path, layer):
 class _WeightsDir:
     """The blocks of a weights directory. Construction reads every file, keeps
     only its shape and checks each layer's shapes, so any bad file fails before
-    block 0 and nothing is kept. Each walk re-reads a layer as it is reached,
-    one layer held at a time; the same checks catch a change."""
+    block 0 and nothing is kept. Each walk re-reads a layer as it is reached
+    and keeps no reference to it, so layer l is freed, once its block is done,
+    before layer l+1 is read; the same checks catch a change."""
 
     def __init__(self, path, config):
         self._path, self._config = path, config
@@ -350,15 +352,17 @@ class _WeightsDir:
         return self._config.layers
 
     def __iter__(self):
+        return map(self._read_layer, range(len(self)))
+
+    def _read_layer(self, layer) -> BlockWeights:
         h, d = self._config.heads, self._config.head_dim
-        for layer in range(len(self)):
-            parts = {name: tpio.read_matrix(fpath)
-                     for name, fpath in _layer_files(self._path, layer).items()}
-            _check_layer(self._path, self._config, layer,
-                         {name: mat.shape for name, mat in parts.items()})
-            for name in ("wq", "wk", "wv"):
-                parts[name] = np.stack([parts[name][:, i * d:(i + 1) * d] for i in range(h)])
-            yield BlockWeights(alpha=self._config.alpha, **parts)
+        parts = {name: tpio.read_matrix(fpath)
+                 for name, fpath in _layer_files(self._path, layer).items()}
+        _check_layer(self._path, self._config, layer,
+                     {name: mat.shape for name, mat in parts.items()})
+        for name in ("wq", "wk", "wv"):
+            parts[name] = np.stack([parts[name][:, i * d:(i + 1) * d] for i in range(h)])
+        return BlockWeights(alpha=self._config.alpha, **parts)
 
 
 def _cmd_forward(args) -> int:
@@ -374,7 +378,7 @@ def _cmd_forward(args) -> int:
     if args.weights_dir:
         blocks = _WeightsDir(args.weights_dir, config)
     else:
-        blocks = synth_weights(config, 0 if args.seed is None else args.seed)
+        blocks = SeededWeights(config, 0 if args.seed is None else args.seed)
     final, traces = pipeline.run_forward(
         tokens,
         blocks,

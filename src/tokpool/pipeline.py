@@ -11,6 +11,8 @@ has them. Every argument, and every scheduled layer's ``PoolSpec``, is
 checked before the first block runs. ``blocks`` is any sized iterable of
 ``config.layers`` block weights, walked once, in layer order, each taken just
 as its layer runs, so a source may read or draw each layer as it is reached.
+A run holds one layer at a time: block l's weights, output and attention
+detail are dropped before block l+1's weights are taken.
 """
 
 from __future__ import annotations
@@ -85,16 +87,21 @@ def run_forward(
     for layer, (k, spec) in enumerate(zip(schedule, specs)):
         n_in = cur.n_tokens
         # next() inline: a loop variable would keep block l alive while l+1 is read
-        out, detail = block_forward_detailed(cur, next(blocks), mode=config.mode)
-        loss = iterations = None
-        if k == 0:  # keep only the protected token
-            head = None if out.counts is None else out.counts[:1]
-            cur = TokenSet(out.features[:1], None, head, None)
-        elif spec is not None:
-            pool_in = TokenSet(out.features, significance(detail.maps), out.counts, None)
-            cur, result = token_pool(pool_in, spec)
-            loss, iterations = result.loss, result.iterations
-        else:
-            cur = out
+        cur, loss, iterations = _layer(cur, next(blocks), config.mode, k, spec)
         traces.append(LayerTrace(layer, n_in, cur.n_tokens, k, loss, iterations))
     return cur, traces
+
+
+def _layer(tokens: TokenSet, w: BlockWeights, mode: str, k, spec):
+    """One block and its downsampling: the next token set, the pooling loss
+    and its iterations. The block's output and detail are locals, freed on
+    return, before the next block's weights are taken."""
+    out, detail = block_forward_detailed(tokens, w, mode=mode)
+    if k == 0:  # keep only the protected token
+        head = None if out.counts is None else out.counts[:1]
+        return TokenSet(out.features[:1], None, head, None), None, None
+    if spec is None:
+        return out, None, None
+    pool_in = TokenSet(out.features, significance(detail.maps), out.counts, None)
+    pooled, result = token_pool(pool_in, spec)
+    return pooled, result.loss, result.iterations

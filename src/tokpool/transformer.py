@@ -158,17 +158,37 @@ def layer_norm(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     mean = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)
-    return (x - mean) / np.sqrt(var + LN_EPS)
+    out = x - mean
+    out /= np.sqrt(var + LN_EPS)  # in place: the result is the only (N, M) array made
+    return out
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """tanh-form GELU (Hendrycks & Gimpel, arXiv 1606.08415).
+    """tanh-form GELU (Hendrycks & Gimpel, arXiv 1606.08415) of a float64
+    copy of ``x``; ``x`` is left unchanged."""
+    return _gelu_inplace(np.array(x, dtype=np.float64))
+
+
+def _gelu_inplace(x: np.ndarray) -> np.ndarray:
+    """GELU of the float64 array ``x``, written into ``x``: the bits of
+    ``0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x * x * x)))`` with one
+    temporary the size of ``x`` where that expression makes five. Each step
+    is the expression's own operation; a swapped ``+`` or ``*`` operand is
+    exact, since IEEE 754 addition and multiplication commute.
 
     The cube is two multiplies: ``x ** 3`` is one ``pow`` call per element,
     which costs several times the rest of the formula.
     """
-    c = np.sqrt(2.0 / np.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x * x * x)))
+    t = 0.044715 * x
+    t *= x
+    t *= x
+    t += x
+    t *= np.sqrt(2.0 / np.pi)
+    np.tanh(t, out=t)
+    t += 1.0
+    x *= 0.5
+    x *= t
+    return x
 
 
 def _check_mode(tokens: TokenSet, w: BlockWeights, mode: str) -> None:
@@ -229,11 +249,12 @@ def block_forward_detailed(
     _check_mode(tokens, w, mode)
     x = tokens.features
     msa, detail = _msa_detail(layer_norm(x) if norm_and_skip else x, tokens.counts, w, mode)
+    # the MLP's GELU runs in its own hidden buffer
     if norm_and_skip:
         x = np.add(x, msa, out=msa)  # in msa's buffer: no extra (N, M) array in the MLP
-        x = x + gelu(layer_norm(x) @ w.mlp1) @ w.mlp2
+        x += _gelu_inplace(layer_norm(x) @ w.mlp1) @ w.mlp2
     else:
-        x = gelu(msa @ w.mlp1) @ w.mlp2
+        x = _gelu_inplace(msa @ w.mlp1) @ w.mlp2
     return TokenSet(x, tokens.weights, tokens.counts, tokens.grid), detail
 
 
@@ -247,26 +268,38 @@ def block_forward(
     return out
 
 
-def synth_weights(config: ModelConfig, seed: int) -> list[BlockWeights]:
-    """Gaussian(0, 1/sqrt(M)) weights for every block, from one seeded stream.
+class SeededWeights:
+    """Gaussian(0, 1/sqrt(M)) weights for every block, from one seeded stream,
+    drawn one layer at a time as a walk reaches it: a sized iterable of
+    ``config.layers`` blocks for ``run_forward``, so a run holds one layer's
+    weights, not all of them. Each walk starts the stream afresh and yields
+    the same blocks.
 
     Draw order per layer: wq, wk, wv (head-major), wo, mlp1, mlp2.
     """
-    rng = Rng(seed)
-    m, h, d = config.dim, config.heads, config.head_dim
-    hidden = config.mlp_ratio * m
-    scale = 1.0 / np.sqrt(m)
-    blocks = []
-    for _ in range(config.layers):
-        blocks.append(
-            BlockWeights(
-                wq=rng.normal((h, m, d)) * scale,
-                wk=rng.normal((h, m, d)) * scale,
-                wv=rng.normal((h, m, d)) * scale,
-                wo=rng.normal((m, m)) * scale,
-                mlp1=rng.normal((m, hidden)) * scale,
-                mlp2=rng.normal((hidden, m)) * scale,
-                alpha=config.alpha,
-            )
-        )
-    return blocks
+
+    def __init__(self, config: ModelConfig, seed: int):
+        self._config, self._seed = config, seed
+
+    def __len__(self) -> int:
+        return self._config.layers
+
+    def __iter__(self):
+        rng = Rng(self._seed)
+        return (self._draw(rng) for _ in range(len(self)))
+
+    def _draw(self, rng: Rng) -> BlockWeights:
+        m, h, d = self._config.dim, self._config.heads, self._config.head_dim
+        hidden = self._config.mlp_ratio * m
+        scale = 1.0 / np.sqrt(m)
+        parts = {}
+        for name, shape in (("wq", (h, m, d)), ("wk", (h, m, d)), ("wv", (h, m, d)),
+                            ("wo", (m, m)), ("mlp1", (m, hidden)), ("mlp2", (hidden, m))):
+            parts[name] = rng.normal(shape)
+            parts[name] *= scale
+        return BlockWeights(alpha=self._config.alpha, **parts)
+
+
+def synth_weights(config: ModelConfig, seed: int) -> list[BlockWeights]:
+    """Every block of ``SeededWeights(config, seed)``, held at once."""
+    return list(SeededWeights(config, seed))

@@ -902,13 +902,51 @@ class TestForward:
         assert walked == [(4, 16, 4)] * 3
         assert [os.path.basename(p) for p in reads] == order * 2
 
+    def test_weights_dir_walk_frees_each_layer_before_reading_the_next(self, tmp_path,
+                                                                       monkeypatch):
+        # every array of layer l, as read and as handed to its block, is gone
+        # by the first read of layer l+1, so a walk holds one layer at a time
+        import weakref
+
+        from tokpool import pipeline
+        from tokpool.cli import _WeightsDir
+        from tokpool.costmodel import ModelConfig
+        from tokpool.pipeline import run_forward
+        from tokpool.transformer import TokenSet, synth_weights
+
+        config = ModelConfig(layers=3, dim=16, heads=4, tokens=10, schedule=[7, 5, 3])
+        wdir = tmp_path / "weights"
+        write_weights_dir(wdir, synth_weights(config, 5))
+        blocks = _WeightsDir(str(wdir), config)
+        refs = [[] for _ in range(config.layers)]
+        alive = []
+        real_read, real_block = tpio.read_matrix, pipeline.block_forward_detailed
+
+        def reading(path):
+            layer = int(os.path.basename(path)[5:7])
+            if layer and not refs[layer]:
+                alive.append([r() is not None for r in refs[layer - 1]])
+            mat = real_read(path)
+            refs[layer].append(weakref.ref(mat))
+            return mat
+
+        def running(tokens, w, **kw):  # block l runs after l first reads of a next layer
+            refs[len(alive)].extend(weakref.ref(getattr(w, n)) for n in _NAMES)
+            return real_block(tokens, w, **kw)
+
+        monkeypatch.setattr(tpio, "read_matrix", reading)
+        monkeypatch.setattr(pipeline, "block_forward_detailed", running)
+        run_forward(TokenSet(np.random.default_rng(6).normal(size=(10, 16))), blocks, config)
+        assert alive == [[False] * 12] * 2
+
     @pytest.mark.parametrize("shape", [(9, 16), (10, 8)])
     @pytest.mark.parametrize("source", [["--seed", "1"], ["--weights-dir", "no-such-dir"]])
     def test_input_disagreeing_with_config_is_data_error(self, capsys, tmp_path, monkeypatch,
                                                          shape, source):
         # a file-against-file mismatch: exit 2 naming the input, before any weights
+        # are read or drawn; the seeded source draws through Rng.normal
         synthesized = []
-        monkeypatch.setattr(tokpool.cli, "synth_weights", lambda *a: synthesized.append(a))
+        monkeypatch.setattr(Rng, "normal", lambda *a: synthesized.append(a))
         cfg = self._write_desk_config(tmp_path, schedule=[8, 5, 5, 2])
         src = tmp_path / "in.tpm"
         tpio.write_matrix(src, np.ones(shape))

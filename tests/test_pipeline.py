@@ -19,7 +19,7 @@ from tokpool.numerics import derive_seed
 from tokpool.pipeline import POOL_METHODS, LayerTrace, run_forward
 from tokpool.pooling import PoolSpec, token_pool
 from tokpool.scoring import significance
-from tokpool.transformer import TokenSet, block_forward_detailed, synth_weights
+from tokpool.transformer import SeededWeights, TokenSet, block_forward_detailed, synth_weights
 
 
 def reference_token_pool(f, spec):
@@ -178,6 +178,81 @@ def test_sized_one_pass_iterable_matches_list(monkeypatch, mode, schedule):
     got = _outcome(run_forward, tokens, OnePass(blocks, log), config, pool_method="wkmeans")
     assert got == want
     assert log == [("pull", 0), ("block",), ("pull", 1), ("block",), ("pull", 2), ("block",)]
+
+
+@pytest.mark.parametrize("schedule", [(3, 0, 1), (4, 2, 2), None])
+def test_each_blocks_detail_is_freed_before_the_next_block(monkeypatch, schedule):
+    # block l's attention maps, values and head outputs are gone by the time
+    # block l+1 starts, whether its tokens were pooled, cut to one or kept
+    import weakref
+
+    config = ModelConfig(layers=3, dim=8, heads=2, tokens=6, schedule=schedule)
+    tokens = TokenSet(np.random.default_rng(3).normal(size=(6, 8)))
+    refs, alive = [], []
+    real = pipeline.block_forward_detailed
+
+    def running(*args, **kw):
+        alive.append([r() is not None for r in refs])
+        out, detail = real(*args, **kw)
+        refs.extend(weakref.ref(a) for a in vars(detail).values())
+        return out, detail
+
+    monkeypatch.setattr(pipeline, "block_forward_detailed", running)
+    run_forward(tokens, synth_weights(config, 4), config, pool_method="wkmeans")
+    assert alive == [[], [False] * 3, [False] * 6]
+
+
+def test_seeded_walk_frees_each_layer_before_drawing_the_next(monkeypatch):
+    # every array block l ran with is gone by the first draw of layer l+1
+    import weakref
+
+    from tokpool.numerics import Rng
+
+    config = ModelConfig(layers=3, dim=8, heads=2, tokens=6, schedule=(3, 0, 1))
+    tokens = TokenSet(np.random.default_rng(3).normal(size=(6, 8)))
+    refs, alive = [], []
+    real_normal, real_block = Rng.normal, pipeline.block_forward_detailed
+
+    def drawing(rng, size=None):
+        if len(alive) < len(refs):  # the first draw after a block
+            alive.append([r() is not None for r in refs[-1]])
+        return real_normal(rng, size)
+
+    def running(tokens, w, **kw):
+        refs.append([weakref.ref(getattr(w, n)) for n in ("wq", "wk", "wv", "wo", "mlp1", "mlp2")])
+        return real_block(tokens, w, **kw)
+
+    monkeypatch.setattr(Rng, "normal", drawing)
+    monkeypatch.setattr(pipeline, "block_forward_detailed", running)
+    run_forward(tokens, SeededWeights(config, 4), config)
+    assert alive == [[False] * 6] * 2
+
+
+@pytest.mark.parametrize("layers", [12, 24])
+def test_seeded_run_peak_is_independent_of_depth(layers):
+    # a run holds one layer's float64 weights plus the temporaries of the
+    # layer's largest draw (m x 4m), whatever the depth; all layers at once
+    # would be 12 or 24 layers' worth
+    import tracemalloc
+
+    from tokpool.numerics import Rng
+
+    m = 128
+    config = ModelConfig(layers=layers, dim=m, heads=4, tokens=16,
+                         schedule=[12, 8] * (layers // 2))
+    tokens = TokenSet(np.random.default_rng(3).normal(size=(16, m)))
+    Rng(0).normal((m, 4 * m))  # builds the jump tables, which the process keeps
+    tracemalloc.start()
+    try:
+        Rng(1).normal((m, 4 * m))
+        largest_draw = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        run_forward(tokens, SeededWeights(config, 2), config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    layer_params = 12 * m * m  # q, k, v, o, and two m x 4m MLP matrices
+    assert peak < layer_params * 8 + largest_draw, (peak, largest_draw)
 
 
 @pytest.mark.parametrize("kwargs, message", [

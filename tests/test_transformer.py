@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from tokpool.costmodel import ModelConfig
 from tokpool.errors import DataError, UsageError
 from tokpool.transformer import (
+    LN_EPS,
     BlockWeights,
+    SeededWeights,
     TokenSet,
     attention_maps,
     block_forward,
@@ -352,6 +354,23 @@ class TestSynthWeights:
         assert abs(entries.mean()) < 3 * scale / np.sqrt(entries.size)
         assert abs(entries.std() - scale) < 0.01 * scale
 
+    def test_synth_weights_is_the_seeded_walk_held(self):
+        # the list and a walk of the streamed source give the same arrays, bit
+        # for bit, and a second walk starts the stream afresh
+        cfg = ModelConfig(layers=3, dim=16, heads=4, tokens=5, alpha=2.0)
+        held = synth_weights(cfg, 9)
+        streamed = SeededWeights(cfg, 9)
+        assert len(streamed) == 3
+        for walk in range(2):
+            blocks = list(streamed)
+            assert len(blocks) == 3
+            for a, b in zip(held, blocks):
+                assert a.alpha == b.alpha == 2.0
+                for name in ("wq", "wk", "wv", "wo", "mlp1", "mlp2"):
+                    x, y = getattr(a, name), getattr(b, name)
+                    assert x.dtype == y.dtype == np.float64
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
     def test_indivisible_heads_rejected(self):
         with pytest.raises(UsageError):
             ModelConfig(layers=1, dim=10, heads=3, tokens=4)
@@ -385,3 +404,47 @@ class TestTokenSetValidation:
     def test_grid_with_and_without_cls(self):
         TokenSet(np.ones((4, 2)), grid=(2, 2))
         TokenSet(np.ones((5, 2)), grid=(2, 2))  # row 0 is the classification slot
+
+
+def _awkward_values():
+    """Random values of several scales, with +-0, subnormals and +-1e300."""
+    rng = np.random.default_rng(21)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300, 1e-200, 30.0, -30.0]
+    return np.concatenate([rng.normal(size=997), 10.0 * rng.normal(size=500),
+                           1e-160 * rng.normal(size=100), special])
+
+
+class TestInPlaceNumerics:
+    """gelu and layer_norm keep the bits of their written-out formulas."""
+
+    @pytest.mark.parametrize("shape", [(1608,), (1, 1608), (1608, 1)])
+    def test_gelu_matches_the_formula_and_leaves_its_input(self, shape):
+        x = _awkward_values().reshape(shape)
+        before = x.copy()
+        c = np.sqrt(2.0 / np.pi)
+        with np.errstate(over="ignore"):  # 0.044715 * x**3 overflows at 1e300, as it did
+            want = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x * x * x)))
+            got = gelu(x)
+        assert got.dtype == np.float64 and got.shape == shape
+        assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()
+
+    def test_gelu_of_a_block_sized_hidden_layer(self):
+        x = np.random.default_rng(22).normal(size=(197, 1536))
+        c = np.sqrt(2.0 / np.pi)
+        want = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x * x * x)))
+        assert gelu(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [
+        np.random.default_rng(23).normal(size=(9, 384)),
+        np.random.default_rng(24).normal(size=(5, 7)) * 1e150,
+        np.array([[0.0, -0.0, 5e-324, -5e-324], [3.0, 3.0, 3.0, 3.0], [1.0, -1.0, 1e-300, 2.0]]),
+    ])
+    def test_layer_norm_matches_the_formula_and_leaves_its_input(self, rows):
+        before = rows.copy()
+        mean = rows.mean(axis=1, keepdims=True)
+        var = rows.var(axis=1, keepdims=True)
+        want = (rows - mean) / np.sqrt(var + LN_EPS)
+        got = layer_norm(rows)
+        assert got.tobytes() == want.tobytes()
+        assert rows.tobytes() == before.tobytes()
