@@ -9,12 +9,22 @@ thread count, by design; ``forward`` is byte-identical for one numpy/BLAS
 build and BLAS thread count, since its block products run BLAS; and
 ``verify-filter``'s attention route runs BLAS products, so its printed
 deviation may depend on them.
+
+On glibc, ``main`` keeps freed heap in the process: it raises the C
+allocator's mmap and trim thresholds to 32 MiB before parsing argv. A
+``forward`` run holds one layer at a time, so by default glibc would hand
+each layer's arrays back to the kernel and the next block would fault them
+in again, a page-fault tax on every layer. The cost is resident memory
+that is free but kept: about +1 MB on a ``forward`` peak, and about +3.7 MB
+on a ``pool --scores-from`` at 577x768. Library calls and other C libraries
+are unaffected.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import json
 import os
@@ -32,6 +42,29 @@ from .scoring import significance
 from .transformer import BlockWeights, SeededWeights, TokenSet, check_block_shapes, synth_weights
 
 _WEIGHT_NAMES = ("wq", "wk", "wv", "wo", "mlp1", "mlp2")
+
+# glibc's mallopt parameters, and the one value both are set to
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_KEEP_BYTES = 32 << 20
+
+
+def _keep_freed_heap() -> None:
+    """On glibc, keep freed heap in the process for the next allocation.
+
+    Blocks below the mmap threshold come from the heap instead of a fresh
+    mapping, and free gives the heap top back to the kernel only beyond the
+    trim threshold, so one layer's memory serves the next. Both are needed:
+    setting either one alone also freezes the other at its 128 KiB default.
+    Elsewhere this does nothing.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return
+    libc = ctypes.CDLL(None)
+    for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD):
+        libc.mallopt(param, _HEAP_KEEP_BYTES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -429,6 +462,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)

@@ -1,3 +1,4 @@
+import ctypes
 import errno
 import json
 import os
@@ -1332,3 +1333,108 @@ class TestArgHandling:
                 "import tracer; tracer.install(tracer.Tracer('t'))")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+
+class TestHeapPolicy:
+    """On glibc, ``main`` keeps freed heap in the process; nothing else sets it."""
+
+    @staticmethod
+    def _record_libc(monkeypatch):
+        calls = []
+
+        class FakeLibc:
+            def __init__(self, name):
+                calls.append(("CDLL", name))
+
+            def mallopt(self, param, value):
+                calls.append(("mallopt", param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", FakeLibc)
+        return calls
+
+    @pytest.mark.parametrize("argv, want", [
+        (["cost", "--config", DEIT_S_CONFIG, "--format", "csv"], 0),
+        (["frobnicate"], 1),  # set before argv is parsed
+    ])
+    def test_glibc_main_sets_mmap_and_trim_thresholds(self, capsys, monkeypatch, argv, want):
+        calls = self._record_libc(monkeypatch)
+        asked = []
+        monkeypatch.setattr(os, "confstr", lambda name: asked.append(name) or "glibc 2.36")
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == want
+        assert asked == ["CS_GNU_LIBC_VERSION"]
+        assert calls == [("CDLL", None), ("mallopt", -3, 32 << 20), ("mallopt", -1, 32 << 20)]
+
+    @pytest.mark.parametrize("outcome", [
+        None, ValueError("unrecognized configuration name"),
+        OSError(errno.EINVAL, "Invalid argument"), "missing",
+    ], ids=["returns-none", "value-error", "os-error", "missing"])
+    def test_other_c_library_loads_nothing(self, capsys, monkeypatch, outcome):
+        calls = self._record_libc(monkeypatch)
+        if outcome == "missing":
+            monkeypatch.delattr(os, "confstr")
+        else:
+            def confstr(name):
+                if outcome is not None:
+                    raise outcome
+            monkeypatch.setattr(os, "confstr", confstr)
+        code, _, err = run_cli(capsys, "cost", "--config", DEIT_S_CONFIG, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert calls == []
+
+    def test_import_makes_no_call(self):
+        # numpy imports ctypes itself; the fake goes in after it, before tokpool
+        code = ("import ctypes, numpy\n"
+                "calls = []\n"
+                "ctypes.CDLL = lambda *args, **kwargs: calls.append(args)\n"
+                "import tokpool, tokpool.cli, tokpool.__main__\n"
+                "assert calls == [], calls\n")
+        src = str(Path(tokpool.__file__).parents[1])
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=src))
+        assert result.returncode == 0, result.stderr
+
+    def test_forward_bytes_equal_a_library_run_without_the_policy(self, tmp_path):
+        # the CLI run sets the policy, the library run never does; a 197x96
+        # token set and 96x384 MLP weights exceed glibc's default 128 KiB mmap
+        # threshold, so the two place their largest arrays differently
+        from tokpool.costmodel import ModelConfig
+        from tokpool.transformer import synth_weights
+
+        cfg = {"layers": 3, "dim": 96, "heads": 4, "tokens": 197, "schedule": [60, 24, 8]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        write_weights_dir(tmp_path / "weights", synth_weights(ModelConfig(**cfg), 5))
+        tpio.write_matrix(tmp_path / "in.tpm", np.random.default_rng(6).normal(size=(197, 96)))
+        library = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from tokpool import io, pipeline\n"
+            "from tokpool.transformer import BlockWeights, TokenSet\n"
+            "config = io.read_config('cfg.json')\n"
+            "def part(layer, name):\n"
+            "    mat = io.read_matrix(f'weights/layer{layer:02d}_{name}.tpm')\n"
+            "    return np.stack(np.split(mat, config.heads, axis=1)) if name in ('wq', 'wk', 'wv') else mat\n"
+            "blocks = [BlockWeights(**{n: part(layer, n) for n in ('wq', 'wk', 'wv', 'wo', 'mlp1', 'mlp2')})\n"
+            "          for layer in range(config.layers)]\n"
+            "for method in sys.argv[1:]:\n"
+            "    final, _ = pipeline.run_forward(TokenSet(io.read_matrix('in.tpm')), blocks, config,\n"
+            "                                    pool_method=method)\n"
+            "    io.write_matrix(f'lib-{method}.tpm', final.features)\n"
+        )
+        methods = ("kmedoids", "wkmedoids")
+        src = str(Path(tokpool.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        cmds = [[sys.executable, "-c", library, *methods]] + [
+            [sys.executable, "-m", "tokpool", "forward", "--config", "cfg.json",
+             "--input", "in.tpm", "--weights-dir", "weights", "--pool-method", method,
+             "--out", f"cli-{method}.tpm"] for method in methods]
+        procs = [subprocess.Popen(cmd, cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True) for cmd in cmds]
+        for proc in procs:
+            _, err = proc.communicate()
+            assert proc.returncode == 0, err
+        for method in methods:
+            got = (tmp_path / f"cli-{method}.tpm").read_bytes()
+            assert got == (tmp_path / f"lib-{method}.tpm").read_bytes()
+            assert tpio.read_matrix(tmp_path / f"cli-{method}.tpm").shape == (9, 96)
