@@ -1,7 +1,9 @@
 import ctypes
 import errno
+import gc
 import json
 import os
+import runpy
 import struct
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import tokpool
+import tokpool.cli
 from tokpool import io as tpio
 from tokpool.cli import main
 from tokpool.numerics import Rng
@@ -1438,3 +1441,33 @@ class TestHeapPolicy:
             got = (tmp_path / f"cli-{method}.tpm").read_bytes()
             assert got == (tmp_path / f"lib-{method}.tpm").read_bytes()
             assert tpio.read_matrix(tmp_path / f"cli-{method}.tpm").shape == (9, 96)
+
+
+class TestEntryPoint:
+    """``python -m tokpool`` freezes its objects once ``main`` returns, then
+    exits with ``main``'s code; ``cli.main`` itself never freezes."""
+
+    @pytest.mark.parametrize("code", [0, 1, 2, 3])
+    def test_freezes_after_main_and_exits_with_its_code(self, monkeypatch, code):
+        calls = []
+        monkeypatch.setattr(tokpool.cli, "main", lambda: calls.append("main") or code)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("tokpool", run_name="__main__")
+        assert exit_.value.code == code
+        assert calls == ["main", "freeze"]
+
+    def test_main_does_not_freeze(self, capsys, monkeypatch):
+        monkeypatch.setattr(gc, "freeze", lambda: pytest.fail("cli.main froze the process"))
+        code, _, err = run_cli(capsys, "cost", "--config", DEIT_S_CONFIG, "--format", "csv")
+        assert (code, err) == (0, "")
+
+    def test_process_stdout_equals_in_process_main(self, capsys):
+        argv = ["cost", "--config", DEIT_S_CONFIG, "--format", "json"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        src = str(Path(tokpool.__file__).parents[1])
+        result = subprocess.run([sys.executable, "-m", "tokpool", *argv], capture_output=True,
+                                env=dict(os.environ, PYTHONPATH=src))
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == out.encode()
