@@ -6,7 +6,11 @@ little-endian floats in row-major order. File length is exactly
 ``12 + 4*rows*cols`` bytes. A TPM1 matrix is read as a writable float32
 array, the file's own type; every reader widens it to float64 before its
 arithmetic (a float64 @ float32 product widens the float32 operand exactly,
-so the bits are those of a float64 matrix). CSV matrices are read as float64.
+so the bits are those of a float64 matrix). A read checks the 12-byte header
+(length, then magic), then the file size against the header, before it
+allocates anything; then it reads the payload straight into the array in
+steps of 1 MiB and checks each step for NaN and infinities while the step is
+still in cache. CSV matrices are read as float64.
 
 CSV matrix files (``.csv``): comma-separated, no header, one row per line,
 each value as the shortest text that reads back to the same double.
@@ -84,28 +88,51 @@ def read_matrix(path) -> np.ndarray:
 
 def _read_tpm(path: Path) -> np.ndarray:
     with open(path, "rb") as fh:
-        raw = memoryview(bytearray(os.fstat(fh.fileno()).st_size))  # writable, unlike bytes
-        raw = raw[:fh.readinto(raw)]
-    if len(raw) < _HEADER.size:
-        raise DataError(f"{path}: truncated header ({len(raw)} bytes, need 12)")
-    magic, rows, cols = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise DataError(f"{path}: bad magic {magic!r} at byte offset 0")
-    expected = _HEADER.size + 4 * rows * cols
-    if len(raw) != expected:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise DataError(f"{path}: truncated header ({len(header)} bytes, need 12)")
+        magic, rows, cols = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise DataError(f"{path}: bad magic {magic!r} at byte offset 0")
+        expected = _HEADER.size + 4 * rows * cols
+        size = os.fstat(fh.fileno()).st_size
+        if size == expected:  # checked before the payload is allocated
+            data = np.empty(rows * cols, dtype="<f4")
+            size, bad = _read_payload(fh, data)
+    if size != expected:
         raise DataError(
-            f"{path}: payload is {len(raw)} bytes, expected exactly {expected} "
+            f"{path}: payload is {size} bytes, expected exactly {expected} "
             f"for {rows}x{cols}"
         )
-    data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
-    # NaN propagates through both reductions and an infinity shows in one, so
-    # the element search (and its payload-sized temporaries) runs only on failure
-    if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
-        i = int(np.flatnonzero(~np.isfinite(data))[0])
+    if bad is not None:
         raise DataError(
-            f"{path}: non-finite value at element {i} (byte offset {12 + 4 * i})"
+            f"{path}: non-finite value at element {bad} (byte offset {12 + 4 * bad})"
         )
     return data.reshape(rows, cols)
+
+
+_STEP = 1 << 18  # floats per payload read: 1 MiB, checked while still in cache
+
+
+def _read_payload(fh, data: np.ndarray) -> tuple[int, int | None]:
+    """Read ``data``'s bytes from ``fh`` in steps and check each step's values.
+
+    Returns the file's byte count so far (header included), which falls short
+    of the expected size only on a short read, and the index of the first
+    non-finite element or ``None``. The size is reported before the values,
+    so every step is read even after a bad one."""
+    buf = data.view(np.uint8)
+    bad = None
+    for start in range(0, data.size, _STEP):
+        step = data[start:start + _STEP]
+        got = fh.readinto(buf[4 * start:4 * (start + step.size)])
+        if got < step.nbytes:
+            return _HEADER.size + 4 * start + got, bad
+        # NaN propagates through both reductions and an infinity shows in one,
+        # so the element search runs only on failure, over this step alone
+        if bad is None and not (np.isfinite(step.min()) and np.isfinite(step.max())):
+            bad = start + int(np.flatnonzero(~np.isfinite(step))[0])
+    return _HEADER.size + 4 * data.size, bad
 
 
 def _read_text(path: Path) -> str:

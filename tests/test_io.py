@@ -1,5 +1,7 @@
 import json
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -154,6 +156,89 @@ class TestMatrixErrors:
             tpio.write_matrix(path, matrix)
         assert str(err.value) == f"can only write 2-D matrices, got shape {shape}"
         assert not path.exists()
+
+
+def _tpm_bytes(rows, cols, values):
+    return b"TPM1" + struct.pack("<II", rows, cols) + np.asarray(values, "<f4").tobytes()
+
+
+class TestSteppedRead:
+    """A TPM1 payload is read and checked in steps of ``tpio._STEP`` floats:
+    header, then size, then each step's values, with the same messages and
+    byte offsets as a whole-file read."""
+
+    STEP = tpio._STEP
+    ROWS, COLS = 3, STEP // 3 + 2  # two steps, the second one partly filled
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["first", "end-of-step-1", "start-of-step-2", "last"])
+    def test_non_finite_named_at_its_element(self, tmp_path, value, where):
+        n = self.ROWS * self.COLS
+        i = {"first": 0, "end-of-step-1": self.STEP - 1, "start-of-step-2": self.STEP,
+             "last": n - 1}[where]
+        values = np.ones(n, dtype=np.float32)
+        values[i] = value
+        values[-1] = value  # a later bad value is never the one named
+        path = tmp_path / "bad.tpm"
+        path.write_bytes(_tpm_bytes(self.ROWS, self.COLS, values))
+        with pytest.raises(DataError) as err:
+            tpio.read_matrix(path)
+        assert str(err.value) == (
+            f"{path}: non-finite value at element {i} (byte offset {12 + 4 * i})")
+
+    @pytest.mark.parametrize("rows, cols", [(1, STEP), (4, STEP // 4), (1, STEP + 1),
+                                            (0, 5), (0, 0), (3, 0)])
+    def test_step_boundary_payloads_round_trip(self, tmp_path, rows, cols):
+        values = np.random.default_rng(rows + cols).normal(size=(rows, cols))
+        path = tmp_path / "m.tpm"
+        tpio.write_matrix(path, values)
+        back = tpio.read_matrix(path)
+        assert back.shape == (rows, cols) and back.dtype == np.float32 and back.flags.writeable
+        np.testing.assert_array_equal(back, values.astype(np.float32))
+
+    def test_huge_header_fails_the_size_check_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.tpm"
+        path.write_bytes(b"TPM1" + struct.pack("<II", 65535, 65535))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError) as err:
+                tpio.read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (
+            f"{path}: payload is 12 bytes, expected exactly {12 + 4 * 65535 * 65535} "
+            f"for 65535x65535")
+        assert peak < 1 << 20
+
+    @staticmethod
+    def _claim_size(monkeypatch, size):
+        monkeypatch.setattr(tpio, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(
+            st_size=size)))
+
+    @pytest.mark.parametrize("floats", [0, 3, STEP, STEP + 2])
+    def test_short_read_reports_the_bytes_read(self, tmp_path, monkeypatch, floats):
+        # the file ends before its header's size, though fstat reported that size
+        rows, cols = 1, self.STEP + 5
+        path = tmp_path / "short.tpm"
+        path.write_bytes(_tpm_bytes(rows, cols, np.ones(floats)))
+        expected = 12 + 4 * rows * cols
+        self._claim_size(monkeypatch, expected)
+        with pytest.raises(DataError) as err:
+            tpio.read_matrix(path)
+        assert str(err.value) == (
+            f"{path}: payload is {12 + 4 * floats} bytes, expected exactly {expected} "
+            f"for {rows}x{cols}")
+
+    def test_short_read_is_reported_before_a_bad_value(self, tmp_path, monkeypatch):
+        rows, cols = 1, self.STEP + 5
+        values = np.ones(self.STEP + 2, dtype=np.float32)
+        values[1] = np.nan
+        path = tmp_path / "short.tpm"
+        path.write_bytes(_tpm_bytes(rows, cols, values))
+        self._claim_size(monkeypatch, 12 + 4 * rows * cols)
+        with pytest.raises(DataError, match=f"payload is {12 + 4 * values.size} bytes"):
+            tpio.read_matrix(path)
 
 
 class TestAttentionMaps:
