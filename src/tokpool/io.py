@@ -121,11 +121,10 @@ def _read_payload(fh, data: np.ndarray) -> tuple[int, int | None]:
     of the expected size only on a short read, and the index of the first
     non-finite element or ``None``. The size is reported before the values,
     so every step is read even after a bad one."""
-    buf = data.view(np.uint8)
     bad = None
     for start in range(0, data.size, _STEP):
         step = data[start:start + _STEP]
-        got = fh.readinto(buf[4 * start:4 * (start + step.size)])
+        got = fh.readinto(step.view(np.uint8))  # a view: the bytes land in data
         if got < step.nbytes:
             return _HEADER.size + 4 * start + got, bad
         # NaN propagates through both reductions and an infinity shows in one,
