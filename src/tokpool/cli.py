@@ -39,7 +39,7 @@ from .errors import DataError, UsageError
 from .filterlab import verify_equivalence
 from .scoring import significance
 # synth_weights is not called here: perfbench/tracer.py wraps it by this name
-from .transformer import BlockWeights, SeededWeights, TokenSet, check_block_shapes, synth_weights
+from .transformer import BlockWeights, SeededWeights, TokenSet, synth_weights
 
 _WEIGHT_NAMES = ("wq", "wk", "wv", "wo", "mlp1", "mlp2")
 
@@ -345,22 +345,18 @@ def _cmd_score(args) -> int:
 
 def _check_layer(path, config, layer, shapes) -> None:
     """Raise ``DataError`` unless layer ``layer``'s file shapes, a dict by
-    weight name, make one block of ``config``."""
-    h, m, d = config.heads, config.dim, config.head_dim
-    for name in ("wq", "wk", "wv"):
-        if shapes[name] != (m, m):
-            raise DataError(
-                f"{path}: {name} of layer {layer} must be {m}x{m} "
-                f"(heads concatenated column-wise), got {shapes[name]}"
-            )
-    try:
-        check_block_shapes((h, m, d), (h, m, d), (h, m, d),
-                           shapes["wo"], shapes["mlp1"], shapes["mlp2"])
-    except UsageError as exc:
-        raise DataError(f"{path}: layer {layer}: {exc}") from None
-    if shapes["mlp1"][1] != config.mlp_ratio * m:
-        raise DataError(f"{path}: layer {layer}: mlp1 must be {m}x{config.mlp_ratio * m} "
-                        f"(mlp_ratio {config.mlp_ratio}), got {shapes['mlp1']}")
+    weight name, are the ones ``config`` fixes: MxM for ``wq``, ``wk``, ``wv``
+    (heads concatenated column-wise) and ``wo``, Mx(rM) for ``mlp1`` and
+    (rM)xM for ``mlp2``, with r the config's ``mlp_ratio``. A mismatch reads
+    ``{path}: layer {layer}: {name} must be AxB{note}, got (a, b)``."""
+    m, hidden = config.dim, config.mlp_ratio * config.dim
+    qkv, mlp = " (heads concatenated column-wise)", f" (mlp_ratio {config.mlp_ratio})"
+    want = {"wq": (m, m, qkv), "wk": (m, m, qkv), "wv": (m, m, qkv), "wo": (m, m, ""),
+            "mlp1": (m, hidden, mlp), "mlp2": (hidden, m, mlp)}
+    for name, (rows, cols, note) in want.items():
+        if shapes[name] != (rows, cols):
+            raise DataError(f"{path}: layer {layer}: {name} must be {rows}x{cols}{note}, "
+                            f"got {shapes[name]}")
 
 
 def _layer_files(path, layer):

@@ -7,18 +7,18 @@ tokens). Weighted methods and top-k initialization use the significance
 scores of the block's own attention maps. A schedule entry of 0 keeps only
 the protected token; no clustering runs for it. Carry mode seeds unit counts
 when the input has none, and every layer keeps counts exactly when its input
-has them. Every argument, and every scheduled layer's ``PoolSpec``, is
-checked before the first block runs. ``blocks`` is any sized iterable of
-``config.layers`` block weights, walked once, in layer order, each taken just
-as its layer runs, so a source may read or draw each layer as it is reached.
-A run holds one layer at a time: block l's weights, output and attention
-detail are dropped before block l+1's weights are taken.
+has them. Every argument is checked before the first block runs, the pooling
+arguments as one ``PoolSpec`` whatever the schedule. ``blocks`` is any sized
+iterable of ``config.layers`` block weights, walked once, in layer order, each
+taken just as its layer runs, so a source may read or draw each layer as it
+is reached. A run holds one layer at a time: block l's weights, output and
+attention detail are dropped before block l+1's weights are taken.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,27 +67,20 @@ def run_forward(
     schedule = config.schedule or (None,) * config.layers
     if 0 in schedule and not protect_first:
         raise UsageError("schedule entry 0 requires a protected token to retain")
-    specs = [
-        PoolSpec(
-            method=pool_method,
-            k=k,
-            max_iters=pool_iters,
-            init=pool_init,
-            seed=derive_seed(pool_seed, layer),
-            protect_first=protect_first,
-        ) if k else None
-        for layer, k in enumerate(schedule)
-    ]
+    # checked here whatever the schedule; each pooled layer sets its own k and seed
+    spec = PoolSpec(method=pool_method, k=1, max_iters=pool_iters, init=pool_init,
+                    protect_first=protect_first)
 
     cur = tokens.copy()
     if config.mode == "carry" and cur.counts is None:
         cur.counts = np.ones(cur.n_tokens)
     traces: list[LayerTrace] = []
     blocks = iter(blocks)
-    for layer, (k, spec) in enumerate(zip(schedule, specs)):
+    for layer, k in enumerate(schedule):
         n_in = cur.n_tokens
+        layer_spec = replace(spec, k=k, seed=derive_seed(pool_seed, layer)) if k else None
         # next() inline: a loop variable would keep block l alive while l+1 is read
-        cur, loss, iterations = _layer(cur, next(blocks), config.mode, k, spec)
+        cur, loss, iterations = _layer(cur, next(blocks), config.mode, k, layer_spec)
         traces.append(LayerTrace(layer, n_in, cur.n_tokens, k, loss, iterations))
     return cur, traces
 

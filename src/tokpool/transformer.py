@@ -95,20 +95,6 @@ def _weight_array(value, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def check_block_shapes(wq, wk, wv, wo, mlp1, mlp2) -> None:
-    """Raise ``UsageError`` unless the shapes make one block: equal (H, M, d)
-    projections with H*d = M, an MxM ``wo``, and M -> hidden -> M MLP."""
-    if not (wq == wk == wv):
-        raise UsageError("wq, wk, wv shapes differ")
-    h, m, d = wq
-    if h * d != m:
-        raise UsageError(f"heads*head_dim {h}*{d} != dim {m}")
-    if wo != (m, m):
-        raise UsageError(f"wo must be {m}x{m}, got {wo}")
-    if mlp1[0] != m or mlp2 != (mlp1[1], m):
-        raise UsageError(f"mlp shapes {mlp1} -> {mlp2} do not map {m} -> hidden -> {m}")
-
-
 @dataclass
 class BlockWeights:
     """One block's parameters. Per-head projections are stacked (H, M, d).
@@ -130,8 +116,17 @@ class BlockWeights:
     def __post_init__(self):
         for name, ndim in (("wq", 3), ("wk", 3), ("wv", 3), ("wo", 2), ("mlp1", 2), ("mlp2", 2)):
             setattr(self, name, _weight_array(getattr(self, name), name, ndim))
-        check_block_shapes(self.wq.shape, self.wk.shape, self.wv.shape,
-                           self.wo.shape, self.mlp1.shape, self.mlp2.shape)
+        # equal (H, M, d) projections with H*d = M, an MxM wo, and M -> hidden -> M
+        if not (self.wq.shape == self.wk.shape == self.wv.shape):
+            raise UsageError("wq, wk, wv shapes differ")
+        h, m, d = self.wq.shape
+        if h * d != m:
+            raise UsageError(f"heads*head_dim {h}*{d} != dim {m}")
+        if self.wo.shape != (m, m):
+            raise UsageError(f"wo must be {m}x{m}, got {self.wo.shape}")
+        if self.mlp1.shape[0] != m or self.mlp2.shape != (self.mlp1.shape[1], m):
+            raise UsageError(f"mlp shapes {self.mlp1.shape} -> {self.mlp2.shape} "
+                             f"do not map {m} -> hidden -> {m}")
         if self.alpha is not None:
             check_finite_positive(self.alpha, "alpha")
 

@@ -721,11 +721,11 @@ class TestForward:
         assert peak <= layers * layer_params * 4 + 2 * layer_params * 8, peak
 
     @pytest.mark.parametrize("name, shape, message", [
-        ("wq", (16, 8), "wq of layer 0 must be 16x16"),
-        ("mlp2", (32, 16), "do not map 16 -> hidden -> 16"),
+        ("wq", (16, 8), "layer 0: wq must be 16x16 (heads concatenated column-wise), "
+                        "got (16, 8)"),
+        ("mlp2", (32, 16), "layer 0: mlp2 must be 64x16 (mlp_ratio 4), got (32, 16)"),
         ("wo", (16, 15), "layer 0: wo must be 16x16, got (16, 15)"),
-        ("mlp1", (15, 64), "layer 0: mlp shapes (15, 64) -> (64, 16) do not map "
-                           "16 -> hidden -> 16"),
+        ("mlp1", (15, 64), "layer 0: mlp1 must be 16x64 (mlp_ratio 4), got (15, 64)"),
     ])
     def test_weights_dir_bad_shape_is_data_error(self, capsys, tmp_path, name, shape, message):
         from tokpool.costmodel import ModelConfig
@@ -741,7 +741,7 @@ class TestForward:
             capsys, "forward", "--config", str(cfg), "--input", str(src),
             "--weights-dir", str(wdir), "--out", str(tmp_path / "o.tpm"),
         )
-        assert code == 2 and out == "" and message in err
+        assert (code, out, err) == (2, "", f"data error: {wdir}: {message}\n")
         assert not (tmp_path / "o.tpm").exists()
 
     @staticmethod
@@ -796,10 +796,9 @@ class TestForward:
         assert not (tmp_path / "o.tpm").exists()
 
     @pytest.mark.parametrize("name, shape, message", [
-        ("wk", (16, 12), "wk of layer 11 must be 16x16 (heads concatenated column-wise), "
+        ("wk", (16, 12), "layer 11: wk must be 16x16 (heads concatenated column-wise), "
                          "got (16, 12)"),
-        ("mlp1", (16, 63), "layer 11: mlp shapes (16, 63) -> (64, 16) do not map "
-                           "16 -> hidden -> 16"),
+        ("mlp1", (16, 63), "layer 11: mlp1 must be 16x64 (mlp_ratio 4), got (16, 63)"),
     ])
     def test_weights_dir_bad_shape_in_last_layer_fails_before_any_block(
             self, capsys, tmp_path, monkeypatch, name, shape, message):
@@ -1078,6 +1077,22 @@ class TestForward:
         )
         assert code == 1 and "usage error" in err
         assert blocks_run == []
+
+    @pytest.mark.parametrize("schedule", [None, [0, 0, 0, 0], [8, 5, 0, 0]],
+                             ids=["no-schedule", "all-zero", "pooling"])
+    def test_pool_iters_below_one_fails_whatever_the_schedule(
+            self, capsys, tmp_path, monkeypatch, schedule):
+        cfg = self._write_desk_config(tmp_path, schedule)
+        src = tmp_path / "in.tpm"
+        tpio.write_matrix(src, np.random.default_rng(9).normal(size=(10, 16)))
+        calls = self._count_blocks(monkeypatch)
+        code, out, err = run_cli(
+            capsys, "forward", "--config", str(cfg), "--input", str(src),
+            "--seed", "7", "--pool-iters", "0", "--out", str(tmp_path / "o.tpm"),
+        )
+        assert (code, out, err) == (1, "", "usage error: max_iters must be >= 1\n")
+        assert calls == []
+        assert not (tmp_path / "o.tpm").exists()
 
     def test_unknown_out_extension_fails_before_any_block(self, capsys, tmp_path, monkeypatch):
         cfg = self._write_desk_config(tmp_path, [8, 5, 5, 2])

@@ -264,6 +264,13 @@ def test_seeded_run_peak_is_independent_of_depth(layers):
     (dict(blocks=_desk()[1][:2]), "got 2 blocks for 3 layers"),
     (dict(tokens=TokenSet(np.ones((6, 4)))), "token dim 4 != config dim 8"),
     (dict(tokens=TokenSet(np.ones((5, 8)))), "input has 5 tokens, config says 6"),
+    # no layer clusters, yet the pooling arguments are checked
+    (dict(config=ModelConfig(layers=3, dim=8, heads=2, tokens=6), pool_iters=0),
+     "max_iters must be >= 1"),
+    (dict(config=ModelConfig(layers=3, dim=8, heads=2, tokens=6), pool_init="bogus"),
+     "unknown init 'bogus'"),
+    (dict(config=ModelConfig(layers=3, dim=8, heads=2, tokens=6, schedule=(0, 0, 0)),
+          pool_iters=0), "max_iters must be >= 1"),
 ])
 def test_rejected_before_any_block(monkeypatch, kwargs, message):
     calls = []

@@ -153,7 +153,11 @@ class TestBlockWeightsValidation:
         (lambda p: {n: np.concatenate([p[n]] * 3) for n in ("wq", "wk", "wv")},
          r"heads\*head_dim 6\*4 != dim 8"),
         (lambda p: dict(wo=p["wo"][:, :4]), "wo must be 8x8"),
-    ], ids=["wq-2d", "qkv-differ", "heads-times-head-dim", "wo"])
+        (lambda p: dict(mlp1=p["mlp1"][:4]),
+         r"mlp shapes \(4, 32\) -> \(32, 8\) do not map 8 -> hidden -> 8"),
+        (lambda p: dict(mlp2=p["mlp2"][:16]),
+         r"mlp shapes \(8, 32\) -> \(16, 8\) do not map 8 -> hidden -> 8"),
+    ], ids=["wq-2d", "qkv-differ", "heads-times-head-dim", "wo", "mlp1", "mlp2"])
     def test_shapes_must_agree(self, change, message):
         w = make_block(8, 2, seed=19)
         parts = {n: getattr(w, n) for n in ("wq", "wk", "wv", "wo", "mlp1", "mlp2")}
