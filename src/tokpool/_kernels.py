@@ -12,12 +12,17 @@ it in the last ulp on some inputs (0.36% of them on an AVX-512 host).
 
 Distances are exact by difference: each entry is ``sum((a_i - b_j)**2)``,
 never the norm expansion, so identical rows give an exact zero. The kernel
-walks cache-sized blocks. :func:`nearest_sq_dists`, the nearest-row search,
+walks cache-sized blocks. :class:`QueryRows`, the nearest-row search,
 screens with one BLAS product and confirms the surviving pairs by
 difference, so its labels and distances equal the argmin and min of the full
-matrix bit for bit, whatever BLAS rounding or threading does. The medoid
-update computes distances within each cluster only, a block of rows at a
-time. :func:`softmax` is the only softmax in the package.
+matrix bit for bit, whatever BLAS rounding or threading does. It prepares
+the query side (float64 rows, screen-range check, squared norms) once, so a
+clustering run searches its tokens against each pass's centers without
+redoing it; :func:`nearest_sq_dists` is a one-off search.
+:func:`cluster_sums` makes k-means center sums by ``np.bincount`` in index
+order, the bits of ``np.add.at``. The medoid update computes distances
+within each cluster only, evaluating the clusters of one size together.
+:func:`softmax` is the only softmax in the package.
 """
 
 from __future__ import annotations
@@ -286,59 +291,141 @@ _SCREEN_RANGE = (2.0 ** -400, 2.0 ** 400)
 
 
 def _screenable(x) -> bool:
-    mag = np.abs(x)
+    # a block at a time, so the magnitudes stay in cache; NaN fails both tests
     lo, hi = _SCREEN_RANGE
-    return bool(mag.max(initial=0.0) <= hi
-                and mag.min(initial=np.inf, where=mag != 0) >= lo)
+    flat = x.reshape(-1)
+    for start in range(0, flat.size, _BLOCK):
+        mag = np.abs(flat[start:start + _BLOCK])
+        if not (mag.max() <= hi and mag.min(initial=np.inf, where=mag != 0) >= lo):
+            return False
+    return True
+
+
+class QueryRows:
+    """Query rows prepared once for many nearest-row searches.
+
+    Holds the rows as contiguous float64 and, when the screen can take them,
+    their squared norms (``norms`` is None otherwise). A clustering run
+    searches the same tokens against new centers every pass, so only the
+    center side is prepared per search.
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.rows = np.ascontiguousarray(a, dtype=np.float64)
+        screen = self.rows.shape[0] > 0 and _screenable(self.rows)
+        self.norms = np.einsum("ij,ij->i", self.rows, self.rows) if screen else None
+
+    def nearest(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest row of ``b`` for every query row: (labels, squared distances).
+
+        Bit-identical to ``row_argmin(pairwise_sq_dists(rows, b))``: lowest
+        index wins ties. One GEMM per block of rows screens
+        ``r_ij = |b_j|^2 - 2 a_i.b_j`` (the squared distance less the row's
+        own ``|a_i|^2``); only the pairs within a rounding window of the row
+        minimum are recomputed by difference. A single
+        row of ``b``, non-finite input, or magnitudes outside
+        ``_SCREEN_RANGE`` take the full matrix instead.
+        """
+        a, an = self.rows, self.norms
+        b = np.ascontiguousarray(b, dtype=np.float64)
+        # one row of b leaves every pair in the screen, so it is skipped
+        if an is None or b.shape[0] == 1 or not _screenable(b):
+            return row_argmin(pairwise_sq_dists(a, b))
+        n, m = a.shape
+        bn = np.einsum("ij,ij->i", b, b)
+        # Rounding bound, with u = 2**-53, N_ij = |a_i|^2 + |b_j|^2 and the
+        # exact squared distance d_ij <= 2 N_ij. The screen drops the row
+        # constant |a_i|^2: r_ij = |b_j|^2 - 2 a_i.b_j. Any summation order,
+        # FMA or not:
+        #   screen:    |r_ij - (d_ij - |a_i|^2)| <= (2 gamma_M + 2u) N_ij (one
+        #              norm, one dot product, one addition),
+        #              gamma_M = M u / (1 - M u);
+        #   reference: |e_ij - d_ij| <= gamma_{M+2} d_ij <= 2 gamma_{M+2} N_ij.
+        # If column j* holds the reference minimum of row i, then for every l
+        #   r_ij* - r_il <= e_ij* - e_il + (4M + 11) u (N_ij* + N_il)
+        #                <= (4M + 11) u 2 (|a_i|^2 + max_j |b_j|^2),
+        # so j* is kept by r_ij <= min_l r_il + window_i. window_i is twice
+        # that bound, which also covers the rounding of the window itself, of
+        # the sum it is added to, and of an, bn standing in for the norms.
+        # Screened-out pairs read as +inf, which no confirmed distance reaches
+        # inside the screen range, so the argmin over the block is the full
+        # argmin, ties included.
+        window = an + bn.max()
+        window *= (16 * m + 44) * 2.0 ** -53
+        labels = np.empty(n, dtype=np.intp)
+        mins = np.empty(n, dtype=np.float64)
+        step = max(1, 4 * _BLOCK // max(1, b.shape[0]))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            r = a[lo:hi] @ b.T
+            r *= -2.0
+            r += bn
+            ceiling = r.min(axis=1)
+            ceiling += window[lo:hi]
+            rows, cols = np.nonzero(r <= ceiling[:, None])
+            d2 = np.full(r.shape, np.inf)
+            d2[rows, cols] = _confirm(a[lo:hi], b, rows, cols)
+            labels[lo:hi], mins[lo:hi] = row_argmin(d2)
+        return labels, mins
 
 
 def nearest_sq_dists(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest row of ``b`` for every row of ``a``: (labels, squared distances).
+    """Nearest row of ``b`` for every row of ``a``: ``QueryRows(a).nearest(b)``."""
+    return QueryRows(a).nearest(b)
 
-    Bit-identical to ``row_argmin(pairwise_sq_dists(a, b))``: lowest
-    index wins ties. One GEMM per block of rows screens
-    ``s_ij = |a_i|^2 + |b_j|^2 - 2 a_i.b_j``; only the pairs that could still
-    hold the row minimum are recomputed by difference. Non-finite input, or
-    magnitudes outside ``_SCREEN_RANGE``, take the full matrix instead.
+
+def cluster_sums(x: np.ndarray, labels: np.ndarray, k: int, weights: np.ndarray) -> np.ndarray:
+    """``(k, M)`` sums of ``weights[i] * x[i]`` over the rows ``i`` of each label.
+
+    Each entry adds its rows in index order, starting from 0.0, as
+    ``np.add.at`` does, so the bits (``-0.0`` included) equal
+    ``np.add.at(zeros, labels, weights[:, None] * x)``. One ``np.bincount``
+    over ``label * width + column`` keys per block of columns keeps the
+    temporaries at about ``_BLOCK`` elements.
     """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    n, m = a.shape
-    if n == 0 or not (_screenable(a) and _screenable(b)):
-        return row_argmin(pairwise_sq_dists(a, b))
-    an = np.einsum("ij,ij->i", a, a)
-    bn = np.einsum("ij,ij->i", b, b)
-    # Rounding bound, with u = 2**-53, N_ij = |a_i|^2 + |b_j|^2 and the exact
-    # squared distance d_ij <= 2 N_ij. Any summation order, FMA or not:
-    #   screen:    |s_ij - d_ij| <= (2 gamma_M + 4u) N_ij  (two norms, one dot
-    #              product, two additions), gamma_M = M u / (1 - M u);
-    #   reference: |e_ij - d_ij| <= gamma_{M+2} d_ij <= 2 gamma_{M+2} N_ij.
-    # Together below (4M + 9) u N_ij; tol doubles that, which also covers the
-    # rounding of tol itself, of s -+ tol, and of an, bn standing in for N.
-    # If column j* holds the reference minimum of row i, then
-    #   s_ij* - tol_ij* <= e_ij* <= e_ij <= s_ij + tol_ij  for every j,
-    # so j* is kept. Screened-out pairs read as +inf, which no confirmed
-    # distance reaches inside the screen range, so the argmin over the
-    # block is the full argmin, ties included.
-    slack = (4 * m + 16) * 2.0 ** -52
-    labels = np.empty(n, dtype=np.intp)
-    mins = np.empty(n, dtype=np.float64)
-    step = max(1, 4 * _BLOCK // max(1, b.shape[0]))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        s = a[lo:hi] @ b.T
-        s *= -2.0
-        s += an[lo:hi, None]
-        s += bn
-        tol = an[lo:hi, None] + bn
-        tol *= slack
-        ceiling = (s + tol).min(axis=1)
-        s -= tol
-        rows, cols = np.nonzero(s <= ceiling[:, None])
-        d2 = np.full(s.shape, np.inf)
-        d2[rows, cols] = _confirm(a[lo:hi], b, rows, cols)
-        labels[lo:hi], mins[lo:hi] = row_argmin(d2)
-    return labels, mins
+    n, m = x.shape
+    out = np.empty((k, m), dtype=np.float64)
+    step = max(1, _BLOCK // max(1, n))
+    for lo in range(0, m, step):
+        width = min(step, m - lo)
+        keys = labels[:, None] * width + np.arange(width)
+        vals = weights[:, None] * x[:, lo:lo + width]
+        out[:, lo:lo + width] = np.bincount(keys.reshape(-1), vals.reshape(-1),
+                                            minlength=k * width).reshape(k, width)
+    return out
+
+
+def _member_costs(x, members, w):
+    """Each member's summed weighted distance to the members of its cluster.
+
+    ``members`` is ``(g, s)``: g clusters of s members each, and ``w`` their
+    weights. Several clusters share a chunk when ``s * s * M <= _BLOCK``; a
+    larger cluster goes alone, a slice of its rows at a time.
+    """
+    g, s = members.shape
+    m = x.shape[1]
+    costs = np.empty((g, s))
+    if s * s * m <= _BLOCK:
+        # Only the pairs i < j are differenced: (x_i - x_j)**2 equals
+        # (x_j - x_i)**2 exactly, and a member is an exact 0 from itself. A
+        # chunk's two temporaries hold about _BLOCK / 4 elements each.
+        iu, ju = np.triu_indices(s, 1)
+        per = max(1, _BLOCK // (4 * max(1, iu.size * m)))
+        for lo in range(0, g, per):
+            grp = members[lo:lo + per]
+            diff = x[grp[:, iu]]
+            diff -= x[grp[:, ju]]
+            d2 = np.zeros((grp.shape[0], s, s))
+            d2[:, iu, ju] = d2[:, ju, iu] = np.einsum("ijk,ijk->ij", diff, diff)
+            d2 *= w[lo:lo + per, None, :]
+            costs[lo:lo + per] = d2.sum(axis=2)
+        return costs
+    step = max(1, _BLOCK // s)
+    for c in range(g):
+        pts = x[members[c]]
+        for lo in range(0, s, step):
+            costs[c, lo:lo + step] = (pairwise_sq_dists(pts[lo:lo + step], pts) * w[c]).sum(axis=1)
+    return costs
 
 
 def medoid_update(x: np.ndarray, labels: np.ndarray, k: int, weights=None) -> np.ndarray:
@@ -348,24 +435,28 @@ def medoid_update(x: np.ndarray, labels: np.ndarray, k: int, weights=None) -> np
     member ``j`` counts ``weights[j]`` times. Lowest index wins ties; an empty
     cluster gets -1.
     """
-    x = np.asarray(x, dtype=np.float64)
+    # Clusters of one size are evaluated together. A member's cost is always
+    # one contiguous row of weighted distances summed by the same reduction,
+    # and each distance the same einsum, so every grouping gives the same bits.
+    x = np.ascontiguousarray(x, dtype=np.float64)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     k = int(k)
+    w = np.ones(x.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
     order = np.argsort(labels, kind="stable")  # members in ascending index order
     sizes = np.bincount(labels, minlength=k)
     starts = np.cumsum(sizes) - sizes
     med = np.full(k, -1, dtype=np.int64)
-    med[sizes == 1] = order[starts[sizes == 1]]
-    for j in np.flatnonzero(sizes > 1):
-        idx = order[starts[j]:starts[j] + sizes[j]]
-        pts = x[idx]
-        w = 1.0 if weights is None else weights[idx]
-        # Whole rows per chunk keep each row sum in one order and the
-        # temporaries at about _BLOCK elements, whatever the cluster size.
-        step = max(1, _BLOCK // idx.size)
-        costs = np.concatenate([(pairwise_sq_dists(pts[lo:lo + step], pts) * w).sum(axis=1)
-                                for lo in range(0, idx.size, step)])
-        med[j] = idx[np.argmin(costs)]
+    by_size = np.argsort(sizes, kind="stable")
+    runs = np.flatnonzero(np.diff(sizes[by_size], prepend=-1)).tolist()
+    for lo, hi in zip(runs, runs[1:] + [k]):
+        js = by_size[lo:hi]
+        s = int(sizes[js[0]])
+        members = order[starts[js][:, None] + np.arange(s)]
+        if s == 1:
+            med[js] = members[:, 0]
+        elif s > 1:  # empty clusters keep -1
+            costs = _member_costs(x, members, w[members])
+            med[js] = members[np.arange(js.size), costs.argmin(axis=1)]
     return med
 
 

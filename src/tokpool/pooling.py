@@ -20,12 +20,14 @@ each survivor's own weight and count.
 
 Determinism rules: every argmin/argmax tie resolves to the lowest index.
 Every nearest-center search (k-means and k-medoids assignment, empty-cluster
-repair, random/importance assignment, chamfer loss) goes through
-``_kernels.nearest_sq_dists``: a BLAS screen whose surviving pairs are
+repair, random/importance assignment, chamfer loss) is one search,
+``_kernels.QueryRows.nearest``: a BLAS screen whose surviving pairs are
 confirmed exactly by difference, so results do not depend on BLAS rounding
-or thread count. The medoid update sums exact distances, each weighted by the
-objective weight of its far end, within each cluster only; no token-to-token
-matrix is built.
+or thread count. A clustering run prepares its token side once and only its
+centers per pass. k-means center sums add each cluster's rows in index order
+(``_kernels.cluster_sums``). The medoid update sums exact distances, each
+weighted by the objective weight of its far end, within each cluster only,
+clusters of one size together; no token-to-token matrix is built.
 """
 
 from __future__ import annotations
@@ -112,37 +114,54 @@ def _init_indices(n: int, k: int, init: str, init_weights: np.ndarray, seed: int
     return np.sort(np.argsort(-init_weights, kind="stable")[:k])
 
 
-def _repair_empty(centers, feats, occupied, medoids=None):
+def _repair_empty(centers, query, occupied, medoids=None):
     """Deserted clusters each take the worst-reconstructed token as a singleton.
 
     Error is measured against the freshly updated centers of occupied
     clusters, so the promoted token always differs from every live center and
     the move can only lower the reconstruction objective.
     """
-    errs = kernels.nearest_sq_dists(feats, centers[occupied])[1]
+    feats = query.rows
+    errs = query.nearest(centers[occupied])[1]
     for j in np.flatnonzero(~occupied):
         t = int(np.argmax(errs))
         centers[j] = feats[t]
         if medoids is not None:
             medoids[j] = t
         # fold the new center in so equal-valued tokens stop looking bad
-        errs = np.minimum(errs, kernels.nearest_sq_dists(feats, feats[t:t + 1])[1])
+        errs = np.minimum(errs, query.nearest(feats[t:t + 1])[1])
         errs[t] = -np.inf
+
+
+def _distinct_rows(x: np.ndarray) -> int:
+    """Number of distinct rows of ``x``, compared as floats (``-0.0 == 0.0``).
+
+    Equals ``len(np.unique(x, axis=0))``, by one ``np.lexsort`` and a
+    comparison of adjacent rows; ``np.unique`` would import ``numpy.ma``.
+    """
+    if x.shape[0] < 2 or x.shape[1] == 0:  # lexsort needs a key
+        return min(x.shape[0], 1)
+    ranked = x[np.lexsort(x.T)]
+    return 1 + int((ranked[1:] != ranked[:-1]).any(axis=1).sum())
 
 
 def _lloyd(feats, obj_w, init_w, spec: PoolSpec):
     """Alternating assignment / center update until assignments stabilize.
 
-    The cap ``spec.max_iters`` ends the loop only where every cluster holds a
-    member: past it, each step's repair fills what the last step left empty,
-    for at most ``n`` steps, and none if fewer than K token rows are distinct
-    (no assignment fills every cluster then). ``iterations`` counts them all.
+    The token side of the nearest-center search is prepared once per run;
+    each pass prepares only its centers. The cap ``spec.max_iters`` ends the
+    loop only where every cluster holds a member: past it, each step's repair
+    fills what the last step left empty, for at most ``n`` steps, and none if
+    fewer than K token rows are distinct (no assignment fills every cluster
+    then). ``iterations`` counts them all.
     """
     n, k = feats.shape[0], spec.k
+    query = kernels.QueryRows(feats)
     init_idx = _init_indices(n, k, spec.init, init_w, spec.seed)
     medoids = init_idx.astype(np.int64) if spec.method in _MEDOID else None
     centers = feats[init_idx]
-    labels = kernels.nearest_sq_dists(feats, centers)[0]
+    labels = query.nearest(centers)[0]
+    too_few_rows = None  # fewer than k distinct rows; counted once, at the cap
     for iterations in itertools.count(1):
         mass = np.bincount(labels, weights=obj_w, minlength=k)
         occupied = mass > 0  # a cluster of zero-weight tokens is repaired too
@@ -150,17 +169,20 @@ def _lloyd(feats, obj_w, init_w, spec: PoolSpec):
             medoids[occupied] = kernels.medoid_update(feats, labels, k, obj_w)[occupied]
             centers = feats[medoids]
         else:
-            sums = np.zeros((k, feats.shape[1]))
-            np.add.at(sums, labels, obj_w[:, None] * feats)
+            sums = kernels.cluster_sums(feats, labels, k, obj_w)
             centers[occupied] = sums[occupied] / mass[occupied, None]
         if not occupied.all():
-            _repair_empty(centers, feats, occupied, medoids)
-        prev, (labels, errs) = labels, kernels.nearest_sq_dists(feats, centers)
+            _repair_empty(centers, query, occupied, medoids)
+        prev, (labels, errs) = labels, query.nearest(centers)
         if np.array_equal(labels, prev):
             break
-        if iterations >= spec.max_iters and (
-                np.bincount(labels, minlength=k).all() or iterations >= spec.max_iters + n
-                or len(np.unique(feats, axis=0)) < k):
+        if iterations < spec.max_iters:
+            continue
+        if np.bincount(labels, minlength=k).all() or iterations >= spec.max_iters + n:
+            break
+        if too_few_rows is None:
+            too_few_rows = _distinct_rows(feats) < k
+        if too_few_rows:
             break
     return labels, centers, medoids, iterations, float((obj_w * errs).sum())
 

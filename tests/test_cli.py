@@ -1486,3 +1486,58 @@ class TestEntryPoint:
                                 env=dict(os.environ, PYTHONPATH=src))
         assert (result.returncode, result.stderr) == (0, b"")
         assert result.stdout == out.encode()
+
+
+class TestColdImports:
+    """A CLI op imports nothing beyond its own modules: ``numpy.ma``, which
+    ``np.unique`` imports on its first call, costs 12-17 ms per process."""
+
+    _CHILD = """
+import json, sys
+from tokpool import cli, pooling
+capped = []
+count = pooling._distinct_rows
+pooling._distinct_rows = lambda x: capped.append(1) or count(x)
+report = []
+for line in sys.stdin.read().splitlines():
+    argv = line.split("\\t")
+    code = cli.main(argv)
+    report.append([argv[0], argv[argv.index("--method") + 1] if "--method" in argv else "",
+                   code, "numpy.ma" in sys.modules])
+print(json.dumps([report, len(capped)]))
+"""
+
+    def test_no_op_imports_numpy_ma(self, tmp_path):
+        rng = np.random.default_rng(7)
+        tpio.write_matrix(tmp_path / "tokens.tpm", rng.normal(size=(65, 24)))
+        maps = rng.random((6, 65, 65))
+        tpio.write_attention_maps(tmp_path / "attn.tpm", maps / maps.sum(axis=2, keepdims=True))
+        # two distinct poolable rows at K=3: one pass changes the labels, so
+        # --iters 1 reaches the cap with a cluster left empty
+        dup = np.zeros((11, 2))
+        dup[0], dup[-1] = 5.0, 1.0
+        tpio.write_matrix(tmp_path / "dup.tpm", dup)
+        (tmp_path / "desk.json").write_text(json.dumps(
+            {"layers": 2, "dim": 24, "heads": 6, "tokens": 65, "schedule": [48, 16]}))
+        ops = []
+        for method in ("kmeans", "wkmeans", "kmedoids", "wkmedoids", "random", "importance",
+                       "grid"):
+            argv = ["pool", "--input", "tokens.tpm", "--k", "20", "--method", method,
+                    "--out", f"{method}.tpm"]
+            if method in ("wkmeans", "wkmedoids", "importance"):
+                argv += ["--scores-from", "attn.tpm", "--heads", "6"]
+            ops.append(argv + (["--grid", "8", "8"] if method == "grid" else []))
+        ops.append(["pool", "--input", "dup.tpm", "--k", "3", "--method", "kmeans",
+                    "--iters", "1", "--out", "dup_out.tpm"])
+        ops.append(["forward", "--config", "desk.json", "--input", "tokens.tpm",
+                    "--seed", "7", "--out", "final.tpm"])
+        src = str(Path(tokpool.__file__).parents[1])
+        result = subprocess.run([sys.executable, "-c", self._CHILD], cwd=tmp_path,
+                                input="\n".join("\t".join(op) for op in ops),
+                                capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=src))
+        assert result.returncode == 0, result.stderr
+        report, capped = json.loads(result.stdout.strip().splitlines()[-1])
+        assert [row[2] for row in report] == [0] * len(ops), report
+        assert [row[:2] for row in report if row[3]] == []
+        assert capped == 1  # the duplicate-heavy op counted its distinct rows

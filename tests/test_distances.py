@@ -130,3 +130,31 @@ def test_all_candidates_stay_memory_bounded():
         tracemalloc.stop()
     assert (labels == 0).all() and (mins == 0.0).all()
     assert peak < 150e6
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_sets(), st.integers(1, 4))
+def test_prepared_rows_serve_every_search(case, searches):
+    # one QueryRows searched against several center sets, as in a clustering
+    # run, equals a fresh search (and the full matrix) every time
+    _, a, b = case
+    query = _kernels.QueryRows(a)
+    for shift in range(searches):
+        centers = np.roll(b, shift, axis=0)[: max(1, b.shape[0] - shift)]
+        labels, mins = query.nearest(centers)
+        ref_labels, ref_mins = full_nearest(a, centers)
+        np.testing.assert_array_equal(labels, ref_labels)
+        assert mins.tobytes() == ref_mins.tobytes()
+
+
+def test_prepared_rows_are_checked_and_normed_once(monkeypatch):
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(50, 6))
+    checked = []
+    screenable = _kernels._screenable
+    monkeypatch.setattr(_kernels, "_screenable",
+                        lambda x: checked.append(x.shape[0]) or screenable(x))
+    query = _kernels.QueryRows(a)
+    for k in (3, 5, 7):
+        query.nearest(a[:k])
+    assert checked == [50, 3, 5, 7]

@@ -125,7 +125,8 @@ def test_token_pool_matches_full_matrix_reference(case, block):
 
 
 @pytest.mark.parametrize("method", ["kmedoids", "wkmedoids"])
-@pytest.mark.parametrize("n,m,k", [(577, 48, 1), (577, 48, 3), (197, 384, 20), (197, 384, 89)])
+@pytest.mark.parametrize("n,m,k", [(577, 48, 1), (577, 48, 3), (197, 384, 20), (197, 384, 89),
+                                   (577, 768, 234)])
 def test_vit_sizes_match_full_matrix_reference(method, n, m, k):
     rng = np.random.default_rng(n + m + k)
     f = TokenSet(rng.normal(size=(n, m)), rng.uniform(0.5, 2.0, size=n))
@@ -144,3 +145,27 @@ def test_single_cluster_memory_bounded():
         tracemalloc.stop()
     assert result.counts[0] == 3000
     assert peak < 20e6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 9), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([None, 1, 7, 64, 500]))
+def test_member_costs_equal_one_cluster_at_a_time(n, m, k, seed, block):
+    # each member's cost is the same row sum, bit for bit, whether its
+    # cluster is batched with others of its size or sliced by rows alone
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, m)) * 0.37 + 0.1
+    w = rng.uniform(0.5, 2.0, size=n)
+    labels = rng.integers(0, k, size=n)
+    sizes = np.bincount(labels, minlength=k)
+    s = int(sizes.max())
+    members = np.stack([np.flatnonzero(labels == j) for j in np.flatnonzero(sizes == s)])
+    real = _kernels._BLOCK
+    _kernels._BLOCK = block or real
+    try:
+        got = _kernels._member_costs(x, members, w[members])
+    finally:
+        _kernels._BLOCK = real
+    for row, idx in zip(got, members):
+        want = (_kernels.pairwise_sq_dists(x[idx], x[idx]) * w[idx]).sum(axis=1)
+        assert row.tobytes() == want.tobytes()

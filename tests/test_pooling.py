@@ -11,6 +11,7 @@ from tokpool.pooling import (
     METHODS,
     ClusterResult,
     PoolSpec,
+    _distinct_rows,
     chamfer_loss,
     grid_pool,
     importance_select,
@@ -751,3 +752,25 @@ class TestSpecValidation:
     def test_bad_init(self):
         with pytest.raises(UsageError):
             PoolSpec("kmeans", 2, init="kpp")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 24), st.integers(1, 4), st.data())
+def test_distinct_row_count_equals_unique(n, m, data):
+    # duplicate-heavy rows over few values, signed zeros among them: rows
+    # compare as floats, so -0.0 and 0.0 are one value
+    vals = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5])
+    x = np.array(data.draw(st.lists(st.lists(vals, min_size=m, max_size=m),
+                                    min_size=n, max_size=n)))
+    assert _distinct_rows(x) == len(np.unique(x, axis=0))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 3), (5, 0)])
+def test_distinct_row_count_edge_shapes(shape):
+    x = np.zeros(shape)
+    assert _distinct_rows(x) == len(np.unique(x, axis=0))
+
+
+def test_distinct_row_count_signed_zero_rows_are_one():
+    x = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0]])
+    assert _distinct_rows(x) == 1

@@ -175,3 +175,11 @@ def test_float32_maps_are_not_copied():
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000, peak
+
+
+def test_finite_entries_overflowing_a_row_sum_are_not_stochastic():
+    # every entry is finite, but the float64 row sum overflows to inf
+    maps = np.full((1, 2, 2), 1e308)
+    with np.errstate(over="ignore"), pytest.raises(DataError) as err:
+        significance(maps)
+    assert str(err.value) == "attention rows are not stochastic (max |row sum - 1| = inf)"
