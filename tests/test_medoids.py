@@ -126,11 +126,24 @@ def test_token_pool_matches_full_matrix_reference(case, block):
 
 @pytest.mark.parametrize("method", ["kmedoids", "wkmedoids"])
 @pytest.mark.parametrize("n,m,k", [(577, 48, 1), (577, 48, 3), (197, 384, 20), (197, 384, 89),
-                                   (577, 768, 234)])
+                                   (577, 768, 72), (577, 768, 234)])
 def test_vit_sizes_match_full_matrix_reference(method, n, m, k):
     rng = np.random.default_rng(n + m + k)
     f = TokenSet(rng.normal(size=(n, m)), rng.uniform(0.5, 2.0, size=n))
     check_against_reference(f, PoolSpec(method=method, k=k))
+
+
+def test_vit_padding_cluster_matches_full_matrix_reference():
+    # a ViT-B/384 image whose bottom 6 of 24 grid rows repeat one padding
+    # token: the 144 copies form one cluster whose distances are all exact
+    # zeros, so every member ties and the lowest index must win
+    rng = np.random.default_rng(288)
+    x = rng.normal(size=(577, 768))
+    x[1:].reshape(24, 24, 768)[18:] = rng.normal(size=768)
+    f = TokenSet(x, rng.uniform(0.5, 2.0, size=577))
+    spec = PoolSpec(method="wkmedoids", k=288)
+    check_against_reference(f, spec)
+    assert token_pool(f, spec)[1].counts.max() == 144
 
 
 def test_single_cluster_memory_bounded():
@@ -145,6 +158,21 @@ def test_single_cluster_memory_bounded():
         tracemalloc.stop()
     assert result.counts[0] == 3000
     assert peak < 20e6
+
+
+def test_largest_pair_cluster_memory_bounded():
+    # one cluster of 256 tokens of width 768 (1.57 MB of input), the largest
+    # whose member costs come from differenced pairs i < j
+    feats = np.random.default_rng(4).normal(size=(256, 768))
+    spec = PoolSpec(method="kmedoids", k=1, protect_first=False)
+    tracemalloc.start()
+    try:
+        _, result = token_pool(TokenSet(feats), spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.counts[0] == 256
+    assert peak < 4e6
 
 
 @settings(max_examples=200, deadline=None)
