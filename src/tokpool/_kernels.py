@@ -12,17 +12,18 @@ it in the last ulp on some inputs (0.36% of them on an AVX-512 host).
 
 Distances are exact by difference: each entry is ``sum((a_i - b_j)**2)``,
 never the norm expansion, so identical rows give an exact zero. The kernel
-walks cache-sized blocks. :class:`QueryRows`, the nearest-row search,
-screens with one BLAS product and confirms the surviving pairs by
-difference, so its labels and distances equal the argmin and min of the full
-matrix bit for bit, whatever BLAS rounding or threading does. It prepares
-the query side (float64 rows, screen-range check, squared norms) once, so a
+walks cache-sized blocks; ``_confirm`` is the one routine that differences
+a list of pairs. :class:`QueryRows`, the one nearest-row search, screens
+with one BLAS product and confirms the surviving pairs by difference, so
+its labels and distances equal the argmin and min of the full matrix bit
+for bit, whatever BLAS rounding or threading does. It prepares the query
+side (float64 rows, screen-range check, squared norms) once, so a
 clustering run searches its tokens against each pass's centers without
-redoing it; :func:`nearest_sq_dists` is a one-off search.
-:func:`cluster_sums` makes k-means center sums by ``np.bincount`` in index
-order, the bits of ``np.add.at``. The medoid update computes distances
-within each cluster only, evaluating the clusters of one size together.
-:func:`softmax` is the only softmax in the package.
+redoing it. :func:`cluster_sums` makes k-means center sums by
+``np.bincount`` in index order, the bits of ``np.add.at``. The medoid
+update works within each cluster, clusters of one size together: pairs
+i < j through ``_confirm`` when ``s * s <= _BLOCK``, else row slices of the
+full matrix. :func:`softmax` is the only softmax in the package.
 """
 
 from __future__ import annotations
@@ -369,11 +370,6 @@ class QueryRows:
         return labels, mins
 
 
-def nearest_sq_dists(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest row of ``b`` for every row of ``a``: ``QueryRows(a).nearest(b)``."""
-    return QueryRows(a).nearest(b)
-
-
 def cluster_sums(x: np.ndarray, labels: np.ndarray, k: int, weights: np.ndarray) -> np.ndarray:
     """``(k, M)`` sums of ``weights[i] * x[i]`` over the rows ``i`` of each label.
 
@@ -399,24 +395,23 @@ def _member_costs(x, members, w):
     """Each member's summed weighted distance to the members of its cluster.
 
     ``members`` is ``(g, s)``: g clusters of s members each, and ``w`` their
-    weights. Several clusters share a chunk when ``s * s * M <= _BLOCK``; a
-    larger cluster goes alone, a slice of its rows at a time.
+    weights. When ``s * s <= _BLOCK``, ``_confirm`` differences only the
+    pairs i < j, several clusters to a chunk; a larger cluster goes alone, a
+    slice of its rows at a time.
     """
     g, s = members.shape
-    m = x.shape[1]
     costs = np.empty((g, s))
-    if s * s * m <= _BLOCK:
-        # Only the pairs i < j are differenced: (x_i - x_j)**2 equals
-        # (x_j - x_i)**2 exactly, and a member is an exact 0 from itself. A
-        # chunk's two temporaries hold about _BLOCK / 4 elements each.
+    if s * s <= _BLOCK:
+        # (x_i - x_j)**2 equals (x_j - x_i)**2 exactly, and a member is an
+        # exact 0 from itself. A chunk's cost matrices hold about _BLOCK / 4
+        # elements; _confirm bounds its own temporaries.
         iu, ju = np.triu_indices(s, 1)
-        per = max(1, _BLOCK // (4 * max(1, iu.size * m)))
+        per = max(1, _BLOCK // (4 * s * s))
         for lo in range(0, g, per):
             grp = members[lo:lo + per]
-            diff = x[grp[:, iu]]
-            diff -= x[grp[:, ju]]
+            pairs = _confirm(x, x, grp[:, iu].reshape(-1), grp[:, ju].reshape(-1))
             d2 = np.zeros((grp.shape[0], s, s))
-            d2[:, iu, ju] = d2[:, ju, iu] = np.einsum("ijk,ijk->ij", diff, diff)
+            d2[:, iu, ju] = d2[:, ju, iu] = pairs.reshape(grp.shape[0], -1)
             d2 *= w[lo:lo + per, None, :]
             costs[lo:lo + per] = d2.sum(axis=2)
         return costs
@@ -445,16 +440,13 @@ def medoid_update(x: np.ndarray, labels: np.ndarray, k: int, weights=None) -> np
     order = np.argsort(labels, kind="stable")  # members in ascending index order
     sizes = np.bincount(labels, minlength=k)
     starts = np.cumsum(sizes) - sizes
-    med = np.full(k, -1, dtype=np.int64)
-    by_size = np.argsort(sizes, kind="stable")
-    runs = np.flatnonzero(np.diff(sizes[by_size], prepend=-1)).tolist()
-    for lo, hi in zip(runs, runs[1:] + [k]):
-        js = by_size[lo:hi]
-        s = int(sizes[js[0]])
+    med = np.full(k, -1, dtype=np.int64)  # empty clusters keep -1
+    for s in set(sizes.tolist()) - {0}:
+        js = np.flatnonzero(sizes == s)
         members = order[starts[js][:, None] + np.arange(s)]
         if s == 1:
             med[js] = members[:, 0]
-        elif s > 1:  # empty clusters keep -1
+        else:
             costs = _member_costs(x, members, w[members])
             med[js] = members[np.arange(js.size), costs.argmin(axis=1)]
     return med

@@ -287,6 +287,7 @@ def _cmd_pool(args) -> int:
         seed=args.seed,
         protect_first=not args.no_protect_first,
     )
+    pooling.require_weights(args.method, bool(args.weights or args.scores_from))
     feats = _read_tokens(args.input)
     n = feats.shape[0]
     weights = None

@@ -16,8 +16,8 @@ flops: T*K_l*n_l*M for k-means (assignment distances over T iterations) or
 n_l^2*M + T*K_l*n_l for k-medoids (one token-token distance matrix, then
 cached-distance assignments). These terms price the paper's algorithms; the
 pooling code runs passes*K_l*n_l*M screening multiply-adds for the
-assignments of either method, plus sum_j |C_j|^2 * M per k-medoids update
-over its clusters C_j.
+assignments of either method, and per k-medoids update s*(s-1)/2*M
+differences per cluster of s members, or s^2*M if s^2 > ``_kernels._BLOCK``.
 """
 
 from __future__ import annotations

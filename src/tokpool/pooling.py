@@ -27,7 +27,8 @@ or thread count. A clustering run prepares its token side once and only its
 centers per pass. k-means center sums add each cluster's rows in index order
 (``_kernels.cluster_sums``). The medoid update sums exact distances, each
 weighted by the objective weight of its far end, within each cluster only,
-clusters of one size together; no token-to-token matrix is built.
+clusters of one size together; ``_kernels._confirm``, the one pair-list
+routine, differences each pair once when ``s * s <= _BLOCK`` (s <= 256).
 """
 
 from __future__ import annotations
@@ -81,6 +82,12 @@ class ClusterResult:
     medoid_indices: np.ndarray | None = None  # centers' input rows; None for means
 
 
+def require_weights(method: str, weighted: bool) -> None:
+    """Refuse a method that pools by token weights when none are given."""
+    if method in (*_WEIGHTED, "importance") and not weighted:
+        raise UsageError(f"method {method!r} requires token weights")
+
+
 def chamfer_loss(f, fhat, weights=None) -> float:
     """Reconstruction error of ``f`` under nearest-neighbor lookup into ``fhat``."""
     feats = f.features if isinstance(f, TokenSet) else as_matrix(f, "tokens")
@@ -93,7 +100,7 @@ def chamfer_loss(f, fhat, weights=None) -> float:
         )
     if weights is None and isinstance(f, TokenSet):
         weights = f.weights
-    mins = kernels.nearest_sq_dists(feats, fhat)[1]
+    mins = kernels.QueryRows(feats).nearest(fhat)[1]
     if weights is None:
         return float(mins.sum())
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
@@ -199,8 +206,7 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
     through the same assembly; the pooled set carries counts exactly when
     ``f`` does, no weights, and the halved grid for grid pooling only.
     """
-    if spec.method in (*_WEIGHTED, "importance") and f.weights is None:
-        raise UsageError(f"method {spec.method!r} requires token weights")
+    require_weights(spec.method, f.weights is not None)
     grid = spec.method == "grid"
     if grid:
         if f.grid is None:
@@ -236,7 +242,7 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
         probs = w_in if spec.method == "importance" else None
         medoids = _draw(n_eff, spec.k, spec.seed, probs)
         centers = feats[medoids]
-        labels, mins = kernels.nearest_sq_dists(feats, centers)
+        labels, mins = kernels.QueryRows(feats).nearest(centers)
         iterations, loss = 0, float(mins.sum())
     counts = np.bincount(labels, weights=mult, minlength=centers.shape[0])
     result = ClusterResult(labels, centers, iterations, loss, counts, medoids)

@@ -499,7 +499,10 @@ class TestPool:
          "the grid method requires --grid H W"),
         (["--method", "wkmeans", "--scores-from", "m.tpm", "--heads", "0"],
          "heads must be >= 1"),
-    ], ids=["weights-and-scores", "scores-without-heads", "grid-without-grid", "zero-heads"])
+        (["--method", "wkmeans"], "method 'wkmeans' requires token weights"),
+        (["--method", "importance"], "method 'importance' requires token weights"),
+    ], ids=["weights-and-scores", "scores-without-heads", "grid-without-grid", "zero-heads",
+            "wkmeans-without-weights", "importance-without-weights"])
     def test_usage_error_comes_before_any_read(self, capsys, tmp_path, monkeypatch,
                                               flags, message):
         # the input does not exist, so a read before the check would exit 2

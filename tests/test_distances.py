@@ -1,6 +1,6 @@
 """Exactness of the distance kernels.
 
-``nearest_sq_dists`` screens with a BLAS product and confirms by difference;
+``QueryRows.nearest`` screens with a BLAS product and confirms by difference;
 its labels and distances must equal the argmin and min of the full matrix bit
 for bit. The self-distance matrix must be exactly symmetric with a zero
 diagonal, and equal to the matrix against a copy of the same rows.
@@ -61,7 +61,7 @@ def point_sets(draw):
 @given(point_sets())
 def test_nearest_equals_full_argmin_bit_for_bit(case):
     _, a, b = case
-    labels, mins = _kernels.nearest_sq_dists(a, b)
+    labels, mins = _kernels.QueryRows(a).nearest(b)
     ref_labels, ref_mins = full_nearest(a, b)
     np.testing.assert_array_equal(labels, ref_labels)
     assert mins.tobytes() == ref_mins.tobytes()
@@ -83,7 +83,7 @@ def test_nearest_edge_shapes(shape):
     rng = np.random.default_rng(n + k + m)
     a = rng.normal(size=(n, m))
     b = rng.normal(size=(k, m))
-    labels, mins = _kernels.nearest_sq_dists(a, b)
+    labels, mins = _kernels.QueryRows(a).nearest(b)
     ref_labels, ref_mins = full_nearest(a, b)
     np.testing.assert_array_equal(labels, ref_labels)
     assert mins.tobytes() == ref_mins.tobytes()
@@ -98,7 +98,7 @@ def test_screen_path_skips_full_matrix(monkeypatch):
     b = a[::4].copy()
     expected = full_nearest(a, b)
     monkeypatch.setattr(_kernels, "pairwise_sq_dists", refuse)
-    labels, _ = _kernels.nearest_sq_dists(a, b)
+    labels, _ = _kernels.QueryRows(a).nearest(b)
     np.testing.assert_array_equal(labels, expected[0])
 
 
@@ -114,7 +114,7 @@ def test_out_of_range_input_takes_full_matrix(monkeypatch, bad):
     a = np.ones((4, 3))
     a[2, 1] = bad
     monkeypatch.setattr(_kernels, "pairwise_sq_dists", counted)
-    _kernels.nearest_sq_dists(a, np.zeros((2, 3)))
+    _kernels.QueryRows(a).nearest(np.zeros((2, 3)))
     assert calls == [1]
 
 
@@ -124,7 +124,7 @@ def test_all_candidates_stay_memory_bounded():
     a = np.full((1500, 64), 0.5)
     tracemalloc.start()
     try:
-        labels, mins = _kernels.nearest_sq_dists(a, a.copy())
+        labels, mins = _kernels.QueryRows(a).nearest(a.copy())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
