@@ -34,7 +34,8 @@ import numpy as np
 
 from . import io as tpio
 from . import pipeline, pooling
-from .costmodel import CATEGORIES, FlopReport, breakdown_fractions, model_flops
+from .costmodel import (CATEGORIES, CLUSTER_METHODS, LLOYD_ITERS, FlopReport,
+                        breakdown_fractions, model_flops)
 from .errors import DataError, UsageError
 from .filterlab import verify_equivalence
 from .scoring import significance
@@ -42,6 +43,7 @@ from .scoring import significance
 from .transformer import BlockWeights, SeededWeights, TokenSet, synth_weights
 
 _WEIGHT_NAMES = ("wq", "wk", "wv", "wo", "mlp1", "mlp2")
+_INITS = {"topk": "topk_weight", "random": "random"}  # --init name: PoolSpec init
 
 # glibc's mallopt parameters, and the one value both are set to
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -79,9 +81,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("cost", help="flop report for a model config")
     p.add_argument("--config", required=True, help="model config JSON")
     p.add_argument("--schedule", help="override schedule from a JSON array file")
-    p.add_argument("--clustering", choices=("kmeans", "kmedoids"),
+    p.add_argument("--clustering", choices=CLUSTER_METHODS,
                    help="include clustering overhead for downsampled layers")
-    p.add_argument("--iters", type=int, default=5, help="clustering iterations T")
+    p.add_argument("--iters", type=int, default=LLOYD_ITERS, help="clustering iterations T")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
     p = sub.add_parser("pool", help="downsample a token matrix")
@@ -91,9 +93,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--weights", help="per-token weight matrix (N x 1)")
     p.add_argument("--scores-from", help="attention maps file; weights = significance")
     p.add_argument("--heads", type=int, help="head count for --scores-from")
-    p.add_argument("--init", choices=("topk", "random"), default="topk")
+    p.add_argument("--init", choices=_INITS, default="topk")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iters", type=int, default=5)
+    p.add_argument("--iters", type=int, default=LLOYD_ITERS)
     p.add_argument("--no-protect-first", action="store_true",
                    help="also cluster the first (classification) token")
     p.add_argument("--grid", type=int, nargs=2, metavar=("H", "W"),
@@ -114,9 +116,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="N x M token matrix")
     p.add_argument("--seed", type=int, help="synthesize block weights from this seed")
     p.add_argument("--weights-dir", help="directory of layer{L:02d}_{name}.tpm files")
-    p.add_argument("--pool-method", choices=pipeline.POOL_METHODS, default="kmedoids")
-    p.add_argument("--pool-init", choices=("topk", "random"), default="topk")
-    p.add_argument("--pool-iters", type=int, default=5)
+    p.add_argument("--pool-method", choices=pipeline.POOL_METHODS,
+                   default=pipeline.DEFAULT_POOL_METHOD)
+    p.add_argument("--pool-init", choices=_INITS, default="topk")
+    p.add_argument("--pool-iters", type=int, default=LLOYD_ITERS)
     p.add_argument("--no-protect-first", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--trace", help="write per-layer token counts and losses (JSON)")
@@ -229,6 +232,24 @@ def _read_tokens(path) -> np.ndarray:
     return feats
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix ``path`` to a ``DataError`` raised inside: a content check of a
+    library call, made on data already read from that file."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _scores(path, heads) -> np.ndarray:
+    """The significance scores of the attention maps in file ``path``. Only
+    the scores are kept: the maps are freed on return."""
+    maps = tpio.read_attention_maps(path, heads)
+    with _naming(path):
+        return significance(maps)
+
+
 def _check_outputs(args, second=None) -> None:
     """Usage checks on the output paths, made before any input is read:
     ``--out`` and the ``second`` output name two files, and ``--out`` has a
@@ -279,11 +300,13 @@ def _cmd_pool(args) -> int:
         raise UsageError("heads must be >= 1")
     if args.method == "grid" and args.grid is None:
         raise UsageError("the grid method requires --grid H W")
+    if args.method != "grid" and args.grid is not None:
+        raise UsageError(f"--grid H W applies to the grid method only, not {args.method!r}")
     spec = pooling.PoolSpec(
         method=args.method,
         k=args.k,
         max_iters=args.iters,
-        init="topk_weight" if args.init == "topk" else "random",
+        init=_INITS[args.init],
         seed=args.seed,
         protect_first=not args.no_protect_first,
     )
@@ -299,12 +322,13 @@ def _cmd_pool(args) -> int:
         if weights.shape[0] != n:
             raise DataError(f"{args.weights}: expected {n} weights, got {weights.shape[0]}")
     elif args.scores_from:
-        weights = significance(tpio.read_attention_maps(args.scores_from, args.heads))
+        weights = _scores(args.scores_from, args.heads)
         if weights.shape[0] != n:
             raise DataError(f"{args.scores_from}: maps cover {weights.shape[0]} tokens, "
                             f"input has {n}")
-    tokens = TokenSet(feats, weights, np.ones(n) if args.unit_counts else None, args.grid)
-    if weights is not None and args.method in ("wkmeans", "wkmedoids"):
+    with _naming(args.weights):  # of the inputs, only --weights can fail its checks
+        tokens = TokenSet(feats, weights, np.ones(n) if args.unit_counts else None, args.grid)
+    if weights is not None and args.method in pooling.WEIGHTED:
         # with the total weight as the mass, the bound also keeps every
         # medoid cost and center sum finite
         total = float(tokens.weights.sum())
@@ -334,8 +358,7 @@ def _cmd_pool(args) -> int:
 
 def _cmd_score(args) -> int:
     _check_outputs(args)
-    maps = tpio.read_attention_maps(args.attention, args.heads)
-    _write_outputs([(args.out, significance(maps).reshape(-1, 1))])
+    _write_outputs([(args.out, _scores(args.attention, args.heads).reshape(-1, 1))])
     return 0
 
 
@@ -414,7 +437,7 @@ def _cmd_forward(args) -> int:
         blocks,
         config,
         pool_method=args.pool_method,
-        pool_init="topk_weight" if args.pool_init == "topk" else "random",
+        pool_init=_INITS[args.pool_init],
         pool_iters=args.pool_iters,
         pool_seed=0 if args.seed is None else args.seed,
         protect_first=not args.no_protect_first,

@@ -29,11 +29,13 @@ from .errors import DataError, UsageError, check_finite_positive
 CATEGORIES = ("attention", "qkv", "oproj", "mlp", "clustering")
 CLUSTER_METHODS = ("kmeans", "kmedoids")
 MODES = ("standard", "normalized_alpha", "carry")
+LLOYD_ITERS = 5  # T, the Lloyd iteration cap that clustering runs and is priced at
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture record; ``tokens`` includes the classification token."""
+    """Architecture record; ``tokens`` includes the classification token.
+    Its fields, with their defaults, are a config file's keys."""
 
     layers: int
     dim: int
@@ -114,7 +116,8 @@ def block_flops(n_tokens: int, config: ModelConfig) -> dict[str, int]:
     }
 
 
-def clustering_flops(n_tokens: int, k: int, dim: int, method: str, max_iters: int = 5) -> int:
+def clustering_flops(n_tokens: int, k: int, dim: int, method: str,
+                     max_iters: int = LLOYD_ITERS) -> int:
     """Downsampling overhead for one layer; zero when nothing is dropped."""
     if method not in CLUSTER_METHODS:
         raise UsageError(
@@ -135,7 +138,7 @@ def clustering_flops(n_tokens: int, k: int, dim: int, method: str, max_iters: in
 def model_flops(
     config: ModelConfig,
     clustering_method: str | None = None,
-    clustering_iters: int = 5,
+    clustering_iters: int = LLOYD_ITERS,
 ) -> FlopReport:
     """Price every layer under the config's schedule, plus clustering overhead."""
     if clustering_method is not None and clustering_method not in CLUSTER_METHODS:

@@ -15,17 +15,19 @@ still in cache. CSV matrices are read as float64.
 CSV matrix files (``.csv``): comma-separated, no header, one row per line,
 each value as the shortest text that reads back to the same double.
 
-Config files: a JSON object with keys ``layers``, ``dim``, ``heads``,
-``tokens``, and optional ``mlp_ratio`` (default 4), ``schedule`` (array of
-``layers`` integers), ``alpha``, ``mode``. Unknown keys are rejected.
+Config files: a JSON object of ``ModelConfig``'s fields. A field without a
+default is a required key, an absent key takes its field's default, and an
+unknown key is rejected. ``schedule`` is an array of ``layers`` integers.
 Schedule-only files are a bare JSON array.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +37,6 @@ from .errors import DataError, UsageError
 
 MAGIC = b"TPM1"
 _HEADER = struct.Struct("<4sII")
-
-_CONFIG_KEYS = {"layers", "dim", "heads", "tokens", "mlp_ratio", "schedule", "alpha", "mode"}
-_REQUIRED_KEYS = {"layers", "dim", "heads", "tokens"}
 
 
 def csv_lines(rows):
@@ -199,38 +198,31 @@ def read_attention_maps(path, heads: int) -> np.ndarray:
     return flat.reshape(heads, n, n)
 
 
+def _is_int_array(value) -> bool:
+    """Whether JSON value ``value`` is an array of integers. A decoded JSON
+    value has an exact type, so ``type`` tells an integer from a boolean."""
+    return type(value) is list and all(type(k) is int for k in value)
+
+
 def _config_from_dict(obj: dict, source: str) -> ModelConfig:
-    unknown = set(obj) - _CONFIG_KEYS
+    fields = dataclasses.fields(ModelConfig)
+    unknown = set(obj) - {f.name for f in fields}
     if unknown:
         raise DataError(f"{source}: unknown config key {sorted(unknown)[0]!r}")
-    missing = _REQUIRED_KEYS - set(obj)
+    missing = {f.name for f in fields if f.default is dataclasses.MISSING} - set(obj)
     if missing:
         raise DataError(f"{source}: missing config key {sorted(missing)[0]!r}")
-    for key in ("layers", "dim", "heads", "tokens", "mlp_ratio"):
-        if key in obj and (isinstance(obj[key], bool) or not isinstance(obj[key], int)):
+    for key, hint in typing.get_type_hints(ModelConfig).items():
+        if hint is int and key in obj and type(obj[key]) is not int:
             raise DataError(f"{source}: key {key!r} must be an integer")
-    if "schedule" in obj and obj["schedule"] is not None:
-        sched = obj["schedule"]
-        if not isinstance(sched, list) or not all(
-            isinstance(k, int) and not isinstance(k, bool) for k in sched
-        ):
-            raise DataError(f"{source}: key 'schedule' must be an array of integers")
-    if "alpha" in obj and obj["alpha"] is not None:
-        if not isinstance(obj["alpha"], (int, float)) or isinstance(obj["alpha"], bool):
-            raise DataError(f"{source}: key 'alpha' must be a number")
-    if "mode" in obj and not isinstance(obj["mode"], str):
+    if obj.get("schedule") is not None and not _is_int_array(obj["schedule"]):
+        raise DataError(f"{source}: key 'schedule' must be an array of integers")
+    if obj.get("alpha") is not None and type(obj["alpha"]) not in (int, float):
+        raise DataError(f"{source}: key 'alpha' must be a number")
+    if "mode" in obj and type(obj["mode"]) is not str:
         raise DataError(f"{source}: key 'mode' must be a string")
     try:
-        return ModelConfig(
-            layers=obj["layers"],
-            dim=obj["dim"],
-            heads=obj["heads"],
-            tokens=obj["tokens"],
-            mlp_ratio=obj.get("mlp_ratio", 4),
-            schedule=obj.get("schedule"),
-            alpha=obj.get("alpha"),
-            mode=obj.get("mode", "standard"),
-        )
+        return ModelConfig(**obj)
     except UsageError as exc:
         raise DataError(f"{source}: {exc}") from None
 
@@ -256,9 +248,7 @@ def read_schedule(path) -> list[int]:
     """Read a schedule-only file: a bare JSON array of token counts."""
     path = Path(path)
     obj = _read_json(path)
-    if not isinstance(obj, list) or not all(
-        isinstance(k, int) and not isinstance(k, bool) for k in obj
-    ):
+    if not _is_int_array(obj):
         raise DataError(f"{path}: schedule must be a JSON array of integers")
     if any(k < 0 for k in obj):
         raise DataError(f"{path}: schedule entries must be >= 0")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .costmodel import ModelConfig
+from .costmodel import LLOYD_ITERS, ModelConfig
 from .errors import UsageError
 from .numerics import derive_seed
 from .pooling import METHODS, PoolSpec, token_pool
@@ -30,6 +30,7 @@ from .scoring import significance
 from .transformer import BlockWeights, TokenSet, block_forward_detailed
 
 POOL_METHODS = tuple(m for m in METHODS if m != "grid")
+DEFAULT_POOL_METHOD = "kmedoids"
 
 
 @dataclass
@@ -46,9 +47,9 @@ def run_forward(
     tokens: TokenSet,
     blocks: Iterable[BlockWeights],
     config: ModelConfig,
-    pool_method: str = "kmedoids",
+    pool_method: str = DEFAULT_POOL_METHOD,
     pool_init: str = "topk_weight",
-    pool_iters: int = 5,
+    pool_iters: int = LLOYD_ITERS,
     pool_seed: int = 0,
     protect_first: bool = True,
 ) -> tuple[TokenSet, list[LayerTrace]]:

@@ -39,13 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kernels
+from .costmodel import LLOYD_ITERS
 from .errors import DataError, UsageError
 from .numerics import Rng, as_matrix, sample_without_replacement
 from .transformer import TokenSet
 
 METHODS = ("kmeans", "wkmeans", "kmedoids", "wkmedoids", "random", "importance", "grid")
 INITS = ("topk_weight", "random")
-_WEIGHTED = ("wkmeans", "wkmedoids")
+WEIGHTED = ("wkmeans", "wkmedoids")  # the methods whose objective weighs tokens
 _MEDOID = ("kmedoids", "wkmedoids")
 _CLUSTERING = ("kmeans", "wkmeans", "kmedoids", "wkmedoids")
 
@@ -54,7 +55,7 @@ _CLUSTERING = ("kmeans", "wkmeans", "kmedoids", "wkmedoids")
 class PoolSpec:
     method: str
     k: int
-    max_iters: int = 5
+    max_iters: int = LLOYD_ITERS
     init: str = "topk_weight"
     seed: int = 0
     protect_first: bool = True
@@ -84,7 +85,7 @@ class ClusterResult:
 
 def require_weights(method: str, weighted: bool) -> None:
     """Refuse a method that pools by token weights when none are given."""
-    if method in (*_WEIGHTED, "importance") and not weighted:
+    if method in (*WEIGHTED, "importance") and not weighted:
         raise UsageError(f"method {method!r} requires token weights")
 
 
@@ -234,7 +235,7 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
         medoids = None if spec.method in ("kmeans", "wkmeans") else labels.copy()
     elif spec.method in _CLUSTERING:
         init_w = w_in if w_in is not None else np.ones(n_eff)
-        obj_w = init_w if spec.method in _WEIGHTED else np.ones(n_eff)
+        obj_w = init_w if spec.method in WEIGHTED else np.ones(n_eff)
         if not obj_w.any():
             raise DataError("weights sum to zero")
         labels, centers, medoids, iterations, loss = _lloyd(feats, obj_w, init_w, spec)

@@ -1,4 +1,6 @@
+import argparse
 import ctypes
+import dataclasses
 import errno
 import gc
 import json
@@ -16,7 +18,11 @@ import tokpool
 import tokpool.cli
 from tokpool import io as tpio
 from tokpool.cli import main
+from tokpool.costmodel import CLUSTER_METHODS, LLOYD_ITERS, ModelConfig, model_flops
 from tokpool.numerics import Rng
+from tokpool.pipeline import run_forward
+from tokpool.pooling import PoolSpec, token_pool
+from tokpool.transformer import SeededWeights, TokenSet
 
 from conftest import FIXTURES
 
@@ -107,6 +113,24 @@ class TestCost:
         cfg.write_text(f'{{"layers": 4, "dim": 16, "heads": 4, "tokens": 10, "alpha": {alpha}}}')
         code, out, err = run_cli(capsys, "cost", "--config", str(cfg))
         assert code == 2 and out == "" and "alpha must be finite and positive" in err
+
+    def test_clustering_choices_are_the_cost_models(self):
+        subs = next(a for a in tokpool.cli._build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        clustering = next(a for a in subs.choices["cost"]._actions if a.dest == "clustering")
+        assert clustering.choices == CLUSTER_METHODS
+
+    @pytest.mark.parametrize("method", CLUSTER_METHODS)
+    def test_iters_defaults_to_the_lloyd_cap(self, capsys, method):
+        sched = str(FIXTURES / "schedules" / "deit-s-sparsity5.json")
+        argv = ["cost", "--config", DEIT_S_CONFIG, "--schedule", sched,
+                "--clustering", method, "--format", "json"]
+        outs = [run_cli(capsys, *argv, *iters)[1] for iters in
+                ([], ["--iters", str(LLOYD_ITERS)], ["--iters", str(LLOYD_ITERS + 1)])]
+        assert outs[0] == outs[1] != outs[2]
+        config = ModelConfig(**{**json.loads(Path(DEIT_S_CONFIG).read_text()),
+                                "schedule": tpio.read_schedule(sched)})
+        assert json.loads(outs[0])["totals"] == model_flops(config, method).totals
 
 
 class TestPool:
@@ -501,8 +525,10 @@ class TestPool:
          "heads must be >= 1"),
         (["--method", "wkmeans"], "method 'wkmeans' requires token weights"),
         (["--method", "importance"], "method 'importance' requires token weights"),
+        (["--method", "kmeans", "--grid", "8", "8"],
+         "--grid H W applies to the grid method only, not 'kmeans'"),
     ], ids=["weights-and-scores", "scores-without-heads", "grid-without-grid", "zero-heads",
-            "wkmeans-without-weights", "importance-without-weights"])
+            "wkmeans-without-weights", "importance-without-weights", "grid-with-kmeans"])
     def test_usage_error_comes_before_any_read(self, capsys, tmp_path, monkeypatch,
                                               flags, message):
         # the input does not exist, so a read before the check would exit 2
@@ -511,6 +537,52 @@ class TestPool:
                                  "--out", "o.tpm")
         assert (code, out, err) == (1, "", f"usage error: {message}\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_iters_defaults_to_the_lloyd_cap(self, capsys, tmp_path):
+        # 40 tokens at K=6 whose k-means run is still moving at the cap
+        feats = np.random.default_rng(1).normal(size=(40, 3))
+        src = tmp_path / "in.csv"
+        tpio.write_matrix(src, feats)
+        _, result = token_pool(TokenSet(feats), PoolSpec("kmeans", 6))
+        records = []
+        for name, iters in (("a", []), ("b", ["--iters", str(LLOYD_ITERS)])):
+            rec = tmp_path / f"{name}.json"
+            code, _, err = run_cli(capsys, "pool", "--input", str(src), "--k", "6",
+                                   "--method", "kmeans", *iters,
+                                   "--out", str(tmp_path / f"{name}.tpm"),
+                                   "--assignments", str(rec))
+            assert (code, err) == (0, "")
+            records.append(json.loads(rec.read_text()))
+        assert records[0] == records[1]
+        assert records[0]["iterations"] == result.iterations == LLOYD_ITERS
+        assert records[0]["assignment"] == result.assignment.tolist()
+
+    @pytest.mark.parametrize("source, entry, message", [
+        ("--weights", -1.0, "weights must be finite and nonnegative"),
+        ("--scores-from", -0.1, "attention maps contain negative entries"),
+        ("--scores-from", 9.0, "attention rows are not stochastic "
+                               "(max |row sum - 1| = 8.833e+00)"),
+    ], ids=["negative-weight", "negative-map-entry", "non-stochastic-map-row"])
+    def test_bad_weight_content_names_its_file(self, capsys, tmp_path, source, entry, message):
+        src, out = tmp_path / "in.tpm", tmp_path / "o.tpm"
+        tpio.write_matrix(src, np.random.default_rng(2).normal(size=(6, 3)))
+        if source == "--weights":
+            path = tmp_path / "w.csv"
+            weights = np.ones((6, 1))
+            weights[3] = entry
+            tpio.write_matrix(path, weights)
+            extra = []
+        else:
+            path = tmp_path / "m.tpm"
+            maps = np.full((2, 6, 6), 1 / 6)
+            maps[1, 2, 4] = entry
+            tpio.write_attention_maps(path, maps)
+            extra = ["--heads", "2"]
+        code, stdout, err = run_cli(capsys, "pool", "--input", str(src), "--k", "3",
+                                    "--method", "wkmeans", source, str(path), *extra,
+                                    "--out", str(out))
+        assert (code, stdout, err) == (2, "", f"data error: {path}: {message}\n")
+        assert not out.exists()
 
     def test_deterministic_output_files(self, capsys, tmp_path):
         src = tmp_path / "f.tpm"
@@ -552,6 +624,20 @@ class TestScore:
             "--out", str(tmp_path / "s.tpm"),
         )
         assert code == 2 and "data error" in err
+
+    @pytest.mark.parametrize("entry, message", [
+        (-0.1, "attention maps contain negative entries"),
+        (9.0, "attention rows are not stochastic (max |row sum - 1| = 8.833e+00)"),
+    ], ids=["negative-entry", "non-stochastic-row"])
+    def test_bad_map_content_names_its_file(self, capsys, tmp_path, entry, message):
+        amap, out = tmp_path / "a.tpm", tmp_path / "s.tpm"
+        maps = np.full((2, 6, 6), 1 / 6)
+        maps[0, 5, 1] = entry
+        tpio.write_attention_maps(amap, maps)
+        code, stdout, err = run_cli(
+            capsys, "score", "--attention", str(amap), "--heads", "2", "--out", str(out))
+        assert (code, stdout, err) == (2, "", f"data error: {amap}: {message}\n")
+        assert not out.exists()
 
     def test_maps_covering_no_tokens_is_data_error(self, capsys, tmp_path):
         amap, out = tmp_path / "a.tpm", tmp_path / "s.tpm"
@@ -1111,6 +1197,32 @@ class TestForward:
             1, "", f"usage error: {out}: unknown matrix extension (use .tpm or .csv)\n")
         assert calls == []
         assert not out.exists() and not trace.exists()
+
+    @pytest.mark.parametrize("flags, kwargs", [
+        ([], {}),
+        (["--pool-method", "kmeans"], {"pool_method": "kmeans"}),
+        (["--pool-init", "random"], {"pool_init": "random"}),
+    ], ids=["defaults", "kmeans", "random-init"])
+    def test_pool_options_are_run_forwards(self, capsys, tmp_path, flags, kwargs):
+        # an option left out takes run_forward's default; at this schedule
+        # the first k-means layer is still moving at the Lloyd cap
+        config = ModelConfig(layers=2, dim=24, heads=6, tokens=65, schedule=(8, 4))
+        cfg, src = tmp_path / "cfg.json", tmp_path / "in.tpm"
+        cfg.write_text(json.dumps({"layers": 2, "dim": 24, "heads": 6, "tokens": 65,
+                                   "schedule": [8, 4]}))
+        feats = np.random.default_rng(0).normal(size=(65, 24))
+        tpio.write_matrix(src, feats)
+        out, trace = tmp_path / "o.tpm", tmp_path / "t.json"
+        code, _, err = run_cli(capsys, "forward", "--config", str(cfg), "--input", str(src),
+                               "--seed", "7", *flags, "--out", str(out), "--trace", str(trace))
+        assert (code, err) == (0, "")
+        final, traces = run_forward(TokenSet(tpio.read_matrix(src)), SeededWeights(config, 7),
+                                    config, pool_seed=7, **kwargs)
+        payload = json.loads(trace.read_text())
+        assert payload["layers"] == [dataclasses.asdict(t) for t in traces]
+        assert np.array_equal(tpio.read_matrix(out), final.features.astype(np.float32))
+        if kwargs.get("pool_method") == "kmeans":
+            assert traces[0].iterations == LLOYD_ITERS
 
     def test_seed_and_weights_dir_conflict(self, capsys, tmp_path):
         cfg = self._write_desk_config(tmp_path)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tokpool import io as tpio
+from tokpool.costmodel import ModelConfig
 from tokpool.errors import DataError, UsageError
 
 from conftest import FIXTURES
@@ -280,6 +281,21 @@ class TestConfig:
         cfg = tpio.read_config(FIXTURES / "configs" / "deit-s.json")
         assert (cfg.layers, cfg.dim, cfg.heads, cfg.tokens) == (12, 384, 6, 197)
         assert cfg.mlp_ratio == 4 and cfg.schedule is None
+
+    def test_required_keys_alone_read_as_the_defaults(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"layers": 2, "dim": 8, "heads": 2, "tokens": 5}')
+        assert tpio.read_config(path) == ModelConfig(layers=2, dim=8, heads=2, tokens=5)
+
+    @pytest.mark.parametrize("key", ["layers", "dim", "heads", "tokens"])
+    def test_each_required_key_is_named_when_missing(self, tmp_path, key):
+        path = tmp_path / "c.json"
+        config = {"layers": 2, "dim": 8, "heads": 2, "tokens": 5}
+        del config[key]
+        path.write_text(json.dumps(config))
+        with pytest.raises(DataError) as err:
+            tpio.read_config(path)
+        assert str(err.value) == f"{path}: missing config key {key!r}"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
