@@ -15,9 +15,9 @@ allocator's mmap and trim thresholds to 32 MiB before parsing argv. A
 ``forward`` run holds one layer at a time, so by default glibc would hand
 each layer's arrays back to the kernel and the next block would fault them
 in again, a page-fault tax on every layer. The cost is resident memory
-that is free but kept: about +1 MB on a ``forward`` peak, and about +3.7 MB
-on a ``pool --scores-from`` at 577x768. Library calls and other C libraries
-are unaffected.
+that is free but kept: none measurable on a ``forward`` peak, and about
++3.7 MB on a ``pool --scores-from`` at 577x768. Library calls and other C
+libraries are unaffected.
 """
 
 from __future__ import annotations
@@ -233,12 +233,15 @@ def _read_tokens(path) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def _naming(path):
+def _naming(path, only=None):
     """Prefix ``path`` to a ``DataError`` raised inside: a content check of a
-    library call, made on data already read from that file."""
+    library call, made on data already read from that file. Given ``only``,
+    other messages pass unchanged."""
     try:
         yield
     except DataError as exc:
+        if only is not None and str(exc) != only:
+            raise
         raise DataError(f"{path}: {exc}") from None
 
 
@@ -337,7 +340,8 @@ def _cmd_pool(args) -> int:
             raise DataError(f"{args.weights or args.scores_from}: weights summing to "
                             f"{total:.6g} overflow the weighted squared distances of {n} "
                             f"tokens of dim {feats.shape[1]} with entries up to {largest:.6g}")
-    pooled, result = pooling.token_pool(tokens, spec)
+    with _naming(args.weights or args.scores_from, only=pooling.ZERO_WEIGHTS):
+        pooled, result = pooling.token_pool(tokens, spec)
     outputs = [(args.out, pooled.features)]
     if args.assignments:
         record = {

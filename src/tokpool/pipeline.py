@@ -11,8 +11,10 @@ has them. Every argument is checked before the first block runs, the pooling
 arguments as one ``PoolSpec`` whatever the schedule. ``blocks`` is any sized
 iterable of ``config.layers`` block weights, walked once, in layer order, each
 taken just as its layer runs, so a source may read or draw each layer as it
-is reached. A run holds one layer at a time: block l's weights, output and
-attention detail are dropped before block l+1's weights are taken.
+is reached. A run holds one layer at a time: block l's weights and output
+are dropped before block l+1's weights are taken. Of its attention, a block
+keeps only its tokens' significance, and only on a layer that pools: its
+maps, values and head outputs are freed before its own MLP runs.
 """
 
 from __future__ import annotations
@@ -88,14 +90,16 @@ def run_forward(
 
 def _layer(tokens: TokenSet, w: BlockWeights, mode: str, k, spec):
     """One block and its downsampling: the next token set, the pooling loss
-    and its iterations. The block's output and detail are locals, freed on
-    return, before the next block's weights are taken."""
-    out, detail = block_forward_detailed(tokens, w, mode=mode)
+    and its iterations. The block keeps its maps' significance if the layer
+    pools (``spec`` is set) and nothing otherwise; its output and scores are
+    locals, freed on return, before the next block's weights are taken."""
+    keep = significance if spec is not None else lambda maps: None
+    out, scores = block_forward_detailed(tokens, w, mode=mode, keep=keep)
     if k == 0:  # keep only the protected token
         head = None if out.counts is None else out.counts[:1]
         return TokenSet(out.features[:1], None, head, None), None, None
     if spec is None:
         return out, None, None
-    pool_in = TokenSet(out.features, significance(detail.maps), out.counts, None)
+    pool_in = TokenSet(out.features, scores, out.counts, None)
     pooled, result = token_pool(pool_in, spec)
     return pooled, result.loss, result.iterations

@@ -47,6 +47,8 @@ from .transformer import TokenSet
 METHODS = ("kmeans", "wkmeans", "kmedoids", "wkmedoids", "random", "importance", "grid")
 INITS = ("topk_weight", "random")
 WEIGHTED = ("wkmeans", "wkmedoids")  # the methods whose objective weighs tokens
+_WEIGHT_DRIVEN = (*WEIGHTED, "importance")  # the methods that need token weights
+ZERO_WEIGHTS = "weights sum to zero"  # the data error when their poolable weights are all 0
 _MEDOID = ("kmedoids", "wkmedoids")
 _CLUSTERING = ("kmeans", "wkmeans", "kmedoids", "wkmedoids")
 
@@ -85,7 +87,7 @@ class ClusterResult:
 
 def require_weights(method: str, weighted: bool) -> None:
     """Refuse a method that pools by token weights when none are given."""
-    if method in (*WEIGHTED, "importance") and not weighted:
+    if method in _WEIGHT_DRIVEN and not weighted:
         raise UsageError(f"method {method!r} requires token weights")
 
 
@@ -222,6 +224,8 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
     n_eff = feats.shape[0]
     mult = f.counts[offset:] if f.counts is not None else np.ones(n_eff)
     w_in = f.weights[offset:] if f.weights is not None else None
+    if spec.method in _WEIGHT_DRIVEN and spec.k < n_eff and not w_in.any():
+        raise DataError(ZERO_WEIGHTS)
 
     if grid:  # each token belongs to its 2x2 patch, whose mean is the center
         m = f.dim
@@ -236,8 +240,6 @@ def token_pool(f: TokenSet, spec: PoolSpec) -> tuple[TokenSet, ClusterResult]:
     elif spec.method in _CLUSTERING:
         init_w = w_in if w_in is not None else np.ones(n_eff)
         obj_w = init_w if spec.method in WEIGHTED else np.ones(n_eff)
-        if not obj_w.any():
-            raise DataError("weights sum to zero")
         labels, centers, medoids, iterations, loss = _lloyd(feats, obj_w, init_w, spec)
     else:  # random or importance: uniform or weight-proportional sampling
         probs = w_in if spec.method == "importance" else None

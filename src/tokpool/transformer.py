@@ -10,6 +10,12 @@ head at a time. Attention modes:
 ``normalized_alpha``  rows of Q and K scaled to unit L2 norm, logits = alpha * Q K^T;
                       a zero query or key row stays zero, so its logits are 0
 ``carry``             softmax numerator and denominator of key i scaled by count c_i
+
+``block_forward_detailed`` returns a block's attention maps, values and head
+outputs as a ``BlockDetail``. Given ``keep``, it calls ``keep(maps)`` once
+the head outputs exist and returns that instead, so the three are freed
+before the MLP, where a forward run's peak is set; ``block_forward`` keeps
+nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .errors import DataError, UsageError, check_finite_positive
 from .numerics import Rng, as_matrix
 
 LN_EPS = 1e-6
+_GELU_BLOCK = 1 << 15  # elements per block of GELU steps
 
 
 @dataclass
@@ -166,23 +173,29 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 def _gelu_inplace(x: np.ndarray) -> np.ndarray:
     """GELU of the float64 array ``x``, written into ``x``: the bits of
-    ``0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x * x * x)))`` with one
-    temporary the size of ``x`` where that expression makes five. Each step
-    is the expression's own operation; a swapped ``+`` or ``*`` operand is
-    exact, since IEEE 754 addition and multiplication commute.
+    ``0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x * x * x)))``. Each
+    step is the expression's own elementwise operation, run on a block of
+    rows of about ``_GELU_BLOCK`` elements (21 at a width of 1536) while it
+    is in cache, with one temporary the block's size; a swapped ``+`` or
+    ``*`` operand is exact, since IEEE 754 addition and multiplication
+    commute.
 
     The cube is two multiplies: ``x ** 3`` is one ``pow`` call per element,
     which costs several times the rest of the formula.
     """
-    t = 0.044715 * x
-    t *= x
-    t *= x
-    t += x
-    t *= np.sqrt(2.0 / np.pi)
-    np.tanh(t, out=t)
-    t += 1.0
-    x *= 0.5
-    x *= t
+    rows = x.reshape(1) if x.ndim == 0 else x
+    step = max(1, _GELU_BLOCK * len(rows) // max(1, rows.size))
+    for start in range(0, len(rows), step):
+        b = rows[start:start + step]
+        t = 0.044715 * b
+        t *= b
+        t *= b
+        t += b
+        t *= np.sqrt(2.0 / np.pi)
+        np.tanh(t, out=t)
+        t += 1.0
+        b *= 0.5
+        b *= t
     return x
 
 
@@ -195,8 +208,9 @@ def _check_mode(tokens: TokenSet, w: BlockWeights, mode: str) -> None:
         raise UsageError("carry mode requires token counts")
 
 
-def _msa_detail(features: np.ndarray, counts, w: BlockWeights, mode: str):
-    """All heads as one ``(H, ...)`` batch: the projected output and the detail."""
+def _msa_detail(features: np.ndarray, counts, w: BlockWeights, mode: str, keep=None):
+    """All heads as one ``(H, ...)`` batch: the projected output, and the
+    detail or, given ``keep``, ``keep(maps)``."""
     h, _, d = w.wq.shape
     # One BLAS product per head, with the operands a per-head loop would use,
     # so the batch reproduces the loop bit for bit. A float32 weight is widened
@@ -217,7 +231,8 @@ def _msa_detail(features: np.ndarray, counts, w: BlockWeights, mode: str):
     v = features @ w.wv
     head_out = maps @ v
     joined = head_out.transpose(1, 0, 2).reshape(features.shape[0], h * d)
-    return joined @ w.wo, BlockDetail(maps=maps, head_values=v, head_outputs=head_out)
+    kept = BlockDetail(maps, v, head_out) if keep is None else keep(maps)
+    return joined @ w.wo, kept
 
 
 def msa_forward(tokens: TokenSet, w: BlockWeights, mode: str = "standard") -> TokenSet:
@@ -239,11 +254,14 @@ def block_forward_detailed(
     w: BlockWeights,
     mode: str = "standard",
     norm_and_skip: bool = True,
-) -> tuple[TokenSet, BlockDetail]:
-    """One transformer block, also returning attention internals."""
+    keep=None,
+):
+    """One transformer block, also returning its ``BlockDetail``, or
+    ``keep(maps)`` in its place when ``keep`` is given."""
     _check_mode(tokens, w, mode)
     x = tokens.features
-    msa, detail = _msa_detail(layer_norm(x) if norm_and_skip else x, tokens.counts, w, mode)
+    msa, detail = _msa_detail(layer_norm(x) if norm_and_skip else x, tokens.counts, w, mode,
+                              keep)
     # the MLP's GELU runs in its own hidden buffer
     if norm_and_skip:
         x = np.add(x, msa, out=msa)  # in msa's buffer: no extra (N, M) array in the MLP
@@ -259,8 +277,7 @@ def block_forward(
     mode: str = "standard",
     norm_and_skip: bool = True,
 ) -> TokenSet:
-    out, _ = block_forward_detailed(tokens, w, mode, norm_and_skip)
-    return out
+    return block_forward_detailed(tokens, w, mode, norm_and_skip, keep=lambda maps: None)[0]
 
 
 class SeededWeights:

@@ -291,20 +291,36 @@ class TestPool:
     @pytest.mark.parametrize("method, positive, message", [
         ("wkmeans", 1, "weights sum to zero"),
         ("wkmedoids", 1, "weights sum to zero"),
-        ("importance", 1, "probs sum to zero"),
+        ("importance", 1, "weights sum to zero"),
     ])
     def test_too_few_positive_weights_is_data_error(self, capsys, tmp_path, method,
                                                     positive, message):
-        # zero weights are valid; row 0 is protected, so `positive` - 1 rows can be drawn
+        # zero weights are valid; row 0 is protected, so `positive` - 1 rows can
+        # be drawn; the one message names the weights file
         src = tmp_path / "f.tpm"
         weights = tmp_path / "w.tpm"
         tpio.write_matrix(src, np.random.default_rng(2).normal(size=(6, 2)))
         tpio.write_matrix(weights, (np.arange(6) < positive).astype(float).reshape(-1, 1))
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "pool", "--input", str(src), "--k", "2", "--method", method,
             "--weights", str(weights), "--out", str(tmp_path / "o.tpm"),
         )
-        assert code == 2 and message in err
+        assert (code, out, err) == (2, "", f"data error: {weights}: {message}\n")
+        assert not (tmp_path / "o.tpm").exists()
+
+    def test_maps_with_no_poolable_mass_name_their_file(self, capsys, tmp_path):
+        # every query attends to the protected token only: the others score 0
+        src, amap, out = tmp_path / "f.tpm", tmp_path / "a.tpm", tmp_path / "o.tpm"
+        tpio.write_matrix(src, np.random.default_rng(2).normal(size=(6, 2)))
+        maps = np.zeros((2, 6, 6))
+        maps[:, :, 0] = 1.0
+        tpio.write_attention_maps(amap, maps)
+        code, stdout, err = run_cli(
+            capsys, "pool", "--input", str(src), "--k", "2", "--method", "wkmedoids",
+            "--scores-from", str(amap), "--heads", "2", "--out", str(out),
+        )
+        assert (code, stdout, err) == (2, "", f"data error: {amap}: weights sum to zero\n")
+        assert not out.exists()
 
     def test_importance_draws_zero_scores_once_positive_mass_is_spent(self, capsys, tmp_path):
         # row 0 is protected and row 1 is the one clusterable positive score;

@@ -181,25 +181,64 @@ def test_sized_one_pass_iterable_matches_list(monkeypatch, mode, schedule):
 
 
 @pytest.mark.parametrize("schedule", [(3, 0, 1), (4, 2, 2), None])
-def test_each_blocks_detail_is_freed_before_the_next_block(monkeypatch, schedule):
-    # block l's attention maps, values and head outputs are gone by the time
-    # block l+1 starts, whether its tokens were pooled, cut to one or kept
+def test_each_blocks_detail_is_freed_before_the_next_block(schedule):
+    # stronger than the name: block l's attention maps, values and head
+    # outputs are gone by the time block l's own MLP starts, whether its
+    # tokens are then pooled, cut to one or kept. A block calls layer_norm
+    # twice, before its attention and to open its MLP; the arrays are taken
+    # from _msa_detail's locals as it returns.
+    import sys
     import weakref
+
+    from tokpool import transformer
 
     config = ModelConfig(layers=3, dim=8, heads=2, tokens=6, schedule=schedule)
     tokens = TokenSet(np.random.default_rng(3).normal(size=(6, 8)))
+    blocks = synth_weights(config, 4)
     refs, alive = [], []
-    real = pipeline.block_forward_detailed
 
-    def running(*args, **kw):
-        alive.append([r() is not None for r in refs])
-        out, detail = real(*args, **kw)
-        refs.extend(weakref.ref(a) for a in vars(detail).values())
-        return out, detail
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is transformer._msa_detail.__code__:
+            refs.extend(weakref.ref(frame.f_locals[n]) for n in ("maps", "v", "head_out"))
+        elif event == "call" and frame.f_code is transformer.layer_norm.__code__:
+            alive.append([r() is not None for r in refs])
 
-    monkeypatch.setattr(pipeline, "block_forward_detailed", running)
-    run_forward(tokens, synth_weights(config, 4), config, pool_method="wkmeans")
-    assert alive == [[], [False] * 3, [False] * 6]
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run_forward(tokens, blocks, config, pool_method="wkmeans")
+    finally:
+        sys.setprofile(before)
+    assert alive == [[False] * n for n in (0, 3, 3, 6, 6, 9)]
+
+
+def test_pooled_layer_peak_is_its_mlp_without_the_attention_detail():
+    # one pooled DeiT-S-sized layer with float32 weights held: the peak is the
+    # MLP's, the widened mlp1 and the hidden activations plus a few N x M
+    # arrays; holding the maps, values and head outputs through the MLP
+    # would add another 2.9 MiB
+    import tracemalloc
+
+    from tokpool.transformer import BlockWeights
+
+    n, m, h = 197, 384, 6
+    rng = np.random.default_rng(5)
+
+    def weight(*shape):
+        return rng.standard_normal(shape, dtype=np.float32) / np.float32(np.sqrt(m))
+
+    w = BlockWeights(wq=weight(h, m, m // h), wk=weight(h, m, m // h), wv=weight(h, m, m // h),
+                     wo=weight(m, m), mlp1=weight(m, 4 * m), mlp2=weight(4 * m, m))
+    tokens = TokenSet(rng.normal(size=(n, m)))
+    config = ModelConfig(layers=1, dim=m, heads=h, tokens=n, schedule=(98,))
+    tracemalloc.start()
+    try:
+        run_forward(tokens, [w], config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = (m * 4 * m + n * 4 * m + 4 * n * m) * 8  # 9.1 MiB
+    assert peak < bound, (peak, bound)
 
 
 def test_seeded_walk_frees_each_layer_before_drawing_the_next(monkeypatch):

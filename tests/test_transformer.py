@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tokpool.costmodel import ModelConfig
 from tokpool.errors import DataError, UsageError
 from tokpool.transformer import (
+    _GELU_BLOCK,
     LN_EPS,
     BlockWeights,
     SeededWeights,
@@ -418,12 +419,23 @@ def _awkward_values():
                            1e-160 * rng.normal(size=100), special])
 
 
+def _gelu_block_edges():
+    """Awkward values in shapes below, at and across the edge of a block of
+    GELU steps, which holds whole rows."""
+    edge = _GELU_BLOCK // 1536  # rows in one block at a width of 1536
+    shapes = [(1, 1536), (edge - 1, 1536), (edge, 1536), (edge + 1, 1536), (2 * edge, 1536),
+              (2 * edge + 1, 1536), (_GELU_BLOCK - 1,), (_GELU_BLOCK,), (_GELU_BLOCK + 1,),
+              (3, _GELU_BLOCK + 5), (2, 0), (0, 4), ()]
+    return [np.resize(_awkward_values(), math.prod(s)).reshape(s) for s in shapes]
+
+
 class TestInPlaceNumerics:
     """gelu and layer_norm keep the bits of their written-out formulas."""
 
     @pytest.mark.parametrize("x", [
         _awkward_values(), _awkward_values().reshape(1, -1), _awkward_values().reshape(-1, 1),
         np.random.default_rng(22).normal(size=(197, 1536)),  # a DeiT-S hidden layer
+        *_gelu_block_edges(),
     ])
     def test_gelu_matches_the_formula_and_leaves_its_input(self, x):
         before = x.copy()
