@@ -21,9 +21,11 @@ side (float64 rows, screen-range check, squared norms) once, so a
 clustering run searches its tokens against each pass's centers without
 redoing it. :func:`cluster_sums` makes k-means center sums by
 ``np.bincount`` in index order, the bits of ``np.add.at``. The medoid
-update works within each cluster, clusters of one size together: pairs
-i < j through ``_confirm`` when ``s * s <= _BLOCK``, else row slices of the
-full matrix. :func:`softmax` is the only softmax in the package.
+update works within each cluster, clusters of one size together, every
+size through ``_member_costs``: pairs i < j through ``_confirm`` when
+``s * s <= _BLOCK`` (none for a singleton, whose cost is 0), else row
+slices of the full matrix. :func:`softmax` is the only softmax in the
+package.
 """
 
 from __future__ import annotations
@@ -396,8 +398,8 @@ def _member_costs(x, members, w):
 
     ``members`` is ``(g, s)``: g clusters of s members each, and ``w`` their
     weights. When ``s * s <= _BLOCK``, ``_confirm`` differences only the
-    pairs i < j, several clusters to a chunk; a larger cluster goes alone, a
-    slice of its rows at a time.
+    pairs i < j, several clusters to a chunk (a singleton has none, so its
+    cost is 0); a larger cluster goes alone, a slice of its rows at a time.
     """
     g, s = members.shape
     costs = np.empty((g, s))
@@ -444,11 +446,8 @@ def medoid_update(x: np.ndarray, labels: np.ndarray, k: int, weights=None) -> np
     for s in set(sizes.tolist()) - {0}:
         js = np.flatnonzero(sizes == s)
         members = order[starts[js][:, None] + np.arange(s)]
-        if s == 1:
-            med[js] = members[:, 0]
-        else:
-            costs = _member_costs(x, members, w[members])
-            med[js] = members[np.arange(js.size), costs.argmin(axis=1)]
+        costs = _member_costs(x, members, w[members])
+        med[js] = members[np.arange(js.size), costs.argmin(axis=1)]
     return med
 
 

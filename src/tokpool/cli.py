@@ -9,15 +9,6 @@ thread count, by design; ``forward`` is byte-identical for one numpy/BLAS
 build and BLAS thread count, since its block products run BLAS; and
 ``verify-filter``'s attention route runs BLAS products, so its printed
 deviation may depend on them.
-
-On glibc, ``main`` keeps freed heap in the process: it raises the C
-allocator's mmap and trim thresholds to 32 MiB before parsing argv. A
-``forward`` run holds one layer at a time, so by default glibc would hand
-each layer's arrays back to the kernel and the next block would fault them
-in again, a page-fault tax on every layer. The cost is resident memory
-that is free but kept: none measurable on a ``forward`` peak, and about
-+3.7 MB on a ``pool --scores-from`` at 577x768. Library calls and other C
-libraries are unaffected.
 """
 
 from __future__ import annotations
@@ -53,11 +44,18 @@ _HEAP_KEEP_BYTES = 32 << 20
 def _keep_freed_heap() -> None:
     """On glibc, keep freed heap in the process for the next allocation.
 
+    ``main`` raises the C allocator's mmap and trim thresholds to 32 MiB
+    before parsing argv. A ``forward`` run holds one layer at a time, so by
+    default glibc would hand each layer's arrays back to the kernel and the
+    next block would fault them in again, a page-fault tax on every layer.
     Blocks below the mmap threshold come from the heap instead of a fresh
     mapping, and free gives the heap top back to the kernel only beyond the
     trim threshold, so one layer's memory serves the next. Both are needed:
     setting either one alone also freezes the other at its 128 KiB default.
-    Elsewhere this does nothing.
+    The cost is resident memory that is free but kept: none measurable on a
+    ``forward`` peak, and about +3.7 MB on a ``pool --scores-from`` at
+    577x768. Library calls and other C libraries are unaffected, and
+    elsewhere this does nothing.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -114,7 +112,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("forward", help="run L blocks with pooling per schedule")
     p.add_argument("--config", required=True)
     p.add_argument("--input", required=True, help="N x M token matrix")
-    p.add_argument("--seed", type=int, help="synthesize block weights from this seed")
+    p.add_argument("--seed", type=int,
+                   help="synthesize block weights from this seed (default 0); it also "
+                   "seeds each pooled layer's draws, with 0 for --weights-dir runs")
     p.add_argument("--weights-dir", help="directory of layer{L:02d}_{name}.tpm files")
     p.add_argument("--pool-method", choices=pipeline.POOL_METHODS,
                    default=pipeline.DEFAULT_POOL_METHOD)

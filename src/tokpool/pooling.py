@@ -27,8 +27,12 @@ or thread count. A clustering run prepares its token side once and only its
 centers per pass. k-means center sums add each cluster's rows in index order
 (``_kernels.cluster_sums``). The medoid update sums exact distances, each
 weighted by the objective weight of its far end, within each cluster only,
-clusters of one size together; ``_kernels._confirm``, the one pair-list
+clusters of one size together, every size (1 included) through
+``_kernels._member_costs``; ``_kernels._confirm``, the one pair-list
 routine, differences each pair once when ``s * s <= _BLOCK`` (s <= 256).
+A Lloyd run stops when its labels repeat or after ``max_iters + n`` steps,
+and past ``max_iters`` also once every cluster holds a member or fewer than
+K token rows are distinct.
 """
 
 from __future__ import annotations
@@ -146,24 +150,23 @@ def _repair_empty(centers, query, occupied, medoids=None):
 def _distinct_rows(x: np.ndarray) -> int:
     """Number of distinct rows of ``x``, compared as floats (``-0.0 == 0.0``).
 
-    Equals ``len(np.unique(x, axis=0))``, by one ``np.lexsort`` and a
-    comparison of adjacent rows; ``np.unique`` would import ``numpy.ma``.
+    Equals ``len(np.unique(x, axis=0))`` for finite ``x``: rows are keyed by
+    their bytes once ``+ 0.0`` has turned ``-0.0`` into ``0.0``. ``np.unique``
+    would import ``numpy.ma``.
     """
-    if x.shape[0] < 2 or x.shape[1] == 0:  # lexsort needs a key
-        return min(x.shape[0], 1)
-    ranked = x[np.lexsort(x.T)]
-    return 1 + int((ranked[1:] != ranked[:-1]).any(axis=1).sum())
+    return len(set(map(bytes, x + 0.0)))
 
 
 def _lloyd(feats, obj_w, init_w, spec: PoolSpec):
     """Alternating assignment / center update until assignments stabilize.
 
     The token side of the nearest-center search is prepared once per run;
-    each pass prepares only its centers. The cap ``spec.max_iters`` ends the
-    loop only where every cluster holds a member: past it, each step's repair
-    fills what the last step left empty, for at most ``n`` steps, and none if
+    each pass prepares only its centers. One exit rule: stop when the labels
+    repeat, or after ``spec.max_iters + n`` steps; past the cap
+    ``spec.max_iters``, also stop once every cluster holds a member, or when
     fewer than K token rows are distinct (no assignment fills every cluster
-    then). ``iterations`` counts them all.
+    then). Each step's repair fills what the last step left empty, so a run
+    may step past the cap; ``iterations`` counts every step.
     """
     n, k = feats.shape[0], spec.k
     query = kernels.QueryRows(feats)
@@ -171,7 +174,6 @@ def _lloyd(feats, obj_w, init_w, spec: PoolSpec):
     medoids = init_idx.astype(np.int64) if spec.method in _MEDOID else None
     centers = feats[init_idx]
     labels = query.nearest(centers)[0]
-    too_few_rows = None  # fewer than k distinct rows; counted once, at the cap
     for iterations in itertools.count(1):
         mass = np.bincount(labels, weights=obj_w, minlength=k)
         occupied = mass > 0  # a cluster of zero-weight tokens is repaired too
@@ -184,15 +186,10 @@ def _lloyd(feats, obj_w, init_w, spec: PoolSpec):
         if not occupied.all():
             _repair_empty(centers, query, occupied, medoids)
         prev, (labels, errs) = labels, query.nearest(centers)
-        if np.array_equal(labels, prev):
+        if np.array_equal(labels, prev) or iterations >= spec.max_iters + n:
             break
-        if iterations < spec.max_iters:
-            continue
-        if np.bincount(labels, minlength=k).all() or iterations >= spec.max_iters + n:
-            break
-        if too_few_rows is None:
-            too_few_rows = _distinct_rows(feats) < k
-        if too_few_rows:
+        if iterations >= spec.max_iters and (np.bincount(labels, minlength=k).all()
+                                             or _distinct_rows(feats) < k):
             break
     return labels, centers, medoids, iterations, float((obj_w * errs).sum())
 

@@ -19,6 +19,7 @@ import tokpool.cli
 from tokpool import io as tpio
 from tokpool.cli import main
 from tokpool.costmodel import CLUSTER_METHODS, LLOYD_ITERS, ModelConfig, model_flops
+from tokpool.errors import DataError
 from tokpool.numerics import Rng
 from tokpool.pipeline import run_forward
 from tokpool.pooling import PoolSpec, token_pool
@@ -308,6 +309,30 @@ class TestPool:
         assert (code, out, err) == (2, "", f"data error: {weights}: {message}\n")
         assert not (tmp_path / "o.tpm").exists()
 
+    def test_other_data_errors_in_pooling_name_no_file(self, capsys, tmp_path):
+        # ten copies of one row and one other at K=3 leave a cluster empty, and
+        # with --emit-counts the pooled counts fail their check: that message
+        # is not the zero-weights one, so no file is named
+        src, weights, out = tmp_path / "f.tpm", tmp_path / "w.tpm", tmp_path / "o.tpm"
+        tpio.write_matrix(src, np.vstack([np.full((10, 2), 0.5), [[2.0, -1.0]]]))
+        tpio.write_matrix(weights, np.ones((11, 1)))
+        code, stdout, err = run_cli(
+            capsys, "pool", "--input", str(src), "--method", "wkmedoids",
+            "--weights", str(weights), "--emit-counts", "--k", "3", "--out", str(out),
+        )
+        assert (code, stdout, err) == (2, "", "data error: counts must be finite and positive\n")
+        assert not out.exists()
+
+    def test_naming_prefixes_only_the_message_it_is_given(self):
+        with pytest.raises(DataError) as named:
+            with tokpool.cli._naming("w.tpm", only="weights sum to zero"):
+                raise DataError("weights sum to zero")
+        assert str(named.value) == "w.tpm: weights sum to zero"
+        with pytest.raises(DataError) as passed:
+            with tokpool.cli._naming("w.tpm", only="weights sum to zero"):
+                raise DataError("counts must be finite and positive")
+        assert str(passed.value) == "counts must be finite and positive"
+
     def test_maps_with_no_poolable_mass_name_their_file(self, capsys, tmp_path):
         # every query attends to the protected token only: the others score 0
         src, amap, out = tmp_path / "f.tpm", tmp_path / "a.tpm", tmp_path / "o.tpm"
@@ -543,16 +568,36 @@ class TestPool:
         (["--method", "importance"], "method 'importance' requires token weights"),
         (["--method", "kmeans", "--grid", "8", "8"],
          "--grid H W applies to the grid method only, not 'kmeans'"),
+        (["--method", "kmeans", "--k", "0"], "k must be >= 1"),
+        (["--method", "random", "--iters", "0"], "max_iters must be >= 1"),
     ], ids=["weights-and-scores", "scores-without-heads", "grid-without-grid", "zero-heads",
-            "wkmeans-without-weights", "importance-without-weights", "grid-with-kmeans"])
+            "wkmeans-without-weights", "importance-without-weights", "grid-with-kmeans",
+            "zero-k", "random-with-zero-iters"])
     def test_usage_error_comes_before_any_read(self, capsys, tmp_path, monkeypatch,
                                               flags, message):
-        # the input does not exist, so a read before the check would exit 2
+        # the input does not exist, so a read before the check would exit 2;
+        # every option is checked for every method, one it does not use too
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, "pool", "--input", "missing.tpm", "--k", "3", *flags,
                                  "--out", "o.tpm")
         assert (code, out, err) == (1, "", f"usage error: {message}\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_grid_ignores_the_options_it_does_not_use(self, capsys, tmp_path):
+        # a method ignores the options it does not use: grid draws nothing
+        # and runs no Lloyd step
+        src = tmp_path / "in.tpm"
+        tpio.write_matrix(src, np.random.default_rng(3).normal(size=(65, 4)))
+        files = []
+        for name, extra in (("a", []), ("b", ["--iters", "9", "--init", "random",
+                                              "--seed", "4"])):
+            out, rec = tmp_path / f"{name}.tpm", tmp_path / f"{name}.json"
+            code, _, err = run_cli(capsys, "pool", "--input", str(src), "--k", "3",
+                                   "--method", "grid", "--grid", "8", "8", *extra,
+                                   "--out", str(out), "--assignments", str(rec))
+            assert (code, err) == (0, "")
+            files.append((out.read_bytes(), rec.read_bytes()))
+        assert files[0] == files[1]
 
     def test_iters_defaults_to_the_lloyd_cap(self, capsys, tmp_path):
         # 40 tokens at K=6 whose k-means run is still moving at the cap
